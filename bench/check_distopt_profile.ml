@@ -5,7 +5,8 @@
    Both files follow the vm1dp-distopt-profile/1 schema emitted by
    [main.exe distopt-profile]. The gated quantities are the deterministic
    ones — moves, windows, HPWL, alignments are a pure function of the
-   design and scale, so any drift is a real behaviour change — plus the
+   design and scale, so any drift is a real behaviour change — the
+   portfolio's per-solver win counts (equally deterministic), plus the
    run's own invariants: the warm-cache replay must be byte-identical to
    the cold pass (hit_is_miss) and the warm pass must actually hit the
    cache. Wall-clock and percentile fields are printed for the log but
@@ -81,11 +82,18 @@ let () =
     (get_float base_path base "distopt_warm_s")
     (get_float cur_path cur "distopt_warm_s");
   let bad = ref false in
-  let gate_int key =
+  (* [obj] names a nested object of both files, e.g. "portfolio_wins" *)
+  let gate_int ?obj key =
+    let base, cur, label =
+      match obj with
+      | None -> (base, cur, key)
+      | Some o ->
+        (get_obj base_path base o, get_obj cur_path cur o, o ^ "." ^ key)
+    in
     let b = get_int base_path base key and c = get_int cur_path cur key in
-    Printf.printf "%s: baseline %d, current %d\n" key b c;
+    Printf.printf "%s: baseline %d, current %d\n" label b c;
     if c <> b then begin
-      Printf.eprintf "REGRESSION: %s %d <> baseline %d\n" key c b;
+      Printf.eprintf "REGRESSION: %s %d <> baseline %d\n" label c b;
       bad := true
     end
   in
@@ -93,6 +101,9 @@ let () =
   gate_int "moves";
   gate_int "hpwl_dbu";
   gate_int "alignments";
+  gate_int ~obj:"portfolio_wins" "exact";
+  gate_int ~obj:"portfolio_wins" "greedy";
+  gate_int ~obj:"portfolio_wins" "anneal";
   if not (get_bool cur_path cur "hit_is_miss") then begin
     prerr_endline "REGRESSION: warm-cache replay diverged (hit_is_miss false)";
     bad := true

@@ -170,7 +170,9 @@ let out =
 
 let solver =
   Arg.(value & opt solver_conv `Greedy & info [ "solver" ]
-         ~doc:"Window solver for the optimisation passes: greedy, exact,                anneal, auto, or portfolio (deadline-raced portfolio with a                deterministic winner).")
+         ~doc:"Window solver for the optimisation passes: greedy, exact, \
+               anneal, auto, or portfolio (best of exact, greedy and \
+               anneal, with a deterministic winner).")
 
 let csv_prefix =
   Arg.(value & opt (some string) None & info [ "csv" ]

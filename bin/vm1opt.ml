@@ -62,7 +62,9 @@ let solver_conv =
 
 let solver =
   Arg.(value & opt solver_conv `Greedy & info [ "solver" ]
-         ~doc:"Window solver: greedy, exact, anneal, auto, or portfolio                (deadline-raced exact/greedy/anneal with a deterministic                winner; byte-identical across --jobs).")
+         ~doc:"Window solver: greedy, exact, anneal, auto, or portfolio \
+               (best of exact/greedy/anneal with a deterministic winner; \
+               byte-identical across --jobs).")
 
 let dump_prefix =
   Arg.(value & opt (some string) None & info [ "dump" ]

@@ -4,7 +4,6 @@ module Deque = Deque
    per-call registry lookup would contend on the registry lock. *)
 let c_tasks = Obs.counter "exec.tasks"
 let c_steals = Obs.counter "exec.steals"
-let c_deadline = Obs.counter "exec.deadline_hits"
 let c_spawns = Obs.counter "exec.domain_spawns"
 let g_pool_size = Obs.gauge "exec.pool_size"
 let g_queue_max = Obs.gauge "exec.queue_depth_max"
@@ -15,13 +14,11 @@ type 'a state =
   | Pending
   | Done of 'a
   | Failed of exn
-  | Skipped  (* deadline hit or cancelled before execution *)
 
 type 'a cell = {
   thunk : unit -> 'a;
   state : 'a state Atomic.t;
   claimed : bool Atomic.t;  (* exactly one executor wins this CAS *)
-  deadline_ns : int64 option;
   mu : Mutex.t;
   cond : Condition.t;  (* signalled on every state transition *)
 }
@@ -34,25 +31,14 @@ let resolve c st =
   Condition.broadcast c.cond;
   Mutex.unlock c.mu
 
-(* Pool-side execution: claim, check the deadline, run under a span.
-   Exceptions land in the cell, never in the worker loop. *)
+(* Pool-side execution: claim, run under a span. Exceptions land in the
+   cell, never in the worker loop. *)
 let run_task (Task c) =
   if Atomic.compare_and_set c.claimed false true then begin
-    let expired =
-      match c.deadline_ns with
-      | Some d -> Int64.compare (Obs.now_ns ()) d > 0
-      | None -> false
-    in
-    if expired then begin
-      Obs.Counter.incr c_deadline;
-      resolve c Skipped
-    end
-    else begin
-      Obs.Counter.incr c_tasks;
-      match Obs.with_span "exec.task" c.thunk with
-      | v -> resolve c (Done v)
-      | exception e -> resolve c (Failed e)
-    end
+    Obs.Counter.incr c_tasks;
+    match Obs.with_span "exec.task" c.thunk with
+    | v -> resolve c (Done v)
+    | exception e -> resolve c (Failed e)
   end
 
 (* --- the pool --- *)
@@ -267,7 +253,7 @@ let enqueue p t =
 (* The awaiting caller (a) races workers to claim-and-run unstarted
    tasks inline, which is what makes await deadlock-free with no pool
    at all, and (b) helps run other tasks while a worker holds its
-   claim. Sequential fallback for Failed/Skipped lives here too. *)
+   claim. Sequential fallback for Failed lives here too. *)
 
 let run_fallback (c : _ cell) =
   Mutex.lock c.mu;
@@ -319,11 +305,10 @@ let help_once () =
 let rec await_cell c =
   match Atomic.get c.state with
   | Done v -> v
-  | Failed _ | Skipped -> run_fallback c
+  | Failed _ -> run_fallback c
   | Pending ->
     if Atomic.compare_and_set c.claimed false true then begin
-      (* unstarted: run it inline, deadline irrelevant — the value is
-         needed now *)
+      (* unstarted: run it inline *)
       Obs.Counter.incr c_tasks;
       match c.thunk () with
       | v ->
@@ -372,39 +357,20 @@ module Future = struct
       let vs = List.map (fun t -> poll t) ts in
       if List.for_all Option.is_some vs then Some (List.map Option.get vs)
       else None
-
-  let cancel : type a. a t -> bool = function
-    | Cell c ->
-      if Atomic.compare_and_set c.claimed false true then begin
-        resolve c Skipped;
-        true
-      end
-      else false
-    | Pure _ | Map _ | All _ -> false
 end
 
-let submit ?deadline_ns thunk =
+let submit thunk =
   let c =
     {
       thunk;
       state = Atomic.make Pending;
       claimed = Atomic.make false;
-      deadline_ns;
       mu = Mutex.create ();
       cond = Condition.create ();
     }
   in
   if jobs () > 1 then enqueue (get_pool ()) (Task c);
   Future.Cell c
-
-(* --- deterministic racing --- *)
-
-let race ?budget_ns thunks =
-  let deadline_ns =
-    Option.map (fun b -> Int64.add (Obs.now_ns ()) b) budget_ns
-  in
-  let futs = List.map (fun f -> submit ?deadline_ns f) thunks in
-  List.map Future.await futs
 
 (* --- domain-local slots --- *)
 

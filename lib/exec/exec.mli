@@ -15,18 +15,16 @@
       [--jobs N] being bit-identical to [--jobs 1].
     - {b Graceful degradation to sequential execution.} With
       [jobs () <= 1] nothing is spawned and everything runs inline. A
-      task whose worker raised, whose deadline expired before it
-      started, or that was cancelled is re-run sequentially by the
-      awaiting caller: [Future.await] never crashes the pool and never
-      hangs a join.
+      task whose worker raised is re-run sequentially by the awaiting
+      caller: [Future.await] never crashes the pool and never hangs a
+      join.
     - {b Work stealing, bounded injection.} Each worker owns a
       Chase–Lev deque ({!Deque}); idle workers steal. External
       submissions go through a bounded queue — a full queue blocks the
       submitter (backpressure) instead of growing without bound.
 
     Instrumented through [lib/obs] (all no-ops until [Obs.set_enabled]):
-    counters [exec.tasks], [exec.steals], [exec.deadline_hits],
-    [exec.domain_spawns]; gauges [exec.pool_size], [exec.queue_depth_max];
+    counters [exec.tasks], [exec.steals], [exec.domain_spawns]; gauges [exec.pool_size], [exec.queue_depth_max];
     span [exec.task] around each pool-executed task (a root span of its
     worker domain, see the span-forest notes in ARCHITECTURE.md). *)
 
@@ -66,10 +64,9 @@ module Future : sig
 
   (** [await t] returns the task's value, claiming and running it
       inline if no worker got to it first — so [await] always makes
-      progress, even with no pool. If the pool's run raised, hit its
-      deadline, or was cancelled, the thunk is re-run sequentially by
-      the caller (the sequential-fallback guarantee); an exception from
-      that sequential run propagates. *)
+      progress, even with no pool. If the pool's run raised, the thunk
+      is re-run sequentially by the caller (the sequential-fallback
+      guarantee); an exception from that sequential run propagates. *)
   val await : 'a t -> 'a
 
   (** [poll t] is [Some v] once the value is available, without
@@ -89,38 +86,13 @@ module Future : sig
       it awaits each in turn (helping inline as usual); there is no
       early exit on failure. *)
   val all : 'a t list -> 'a list t
-
-  (** [cancel t] reclaims a submitted task from the pool: [true] when
-      it won (no worker will run it; [await] computes it inline),
-      [false] when execution had already started or [t] is not a
-      submitted task. *)
-  val cancel : 'a t -> bool
 end
 
-(** [submit ?deadline_ns f] schedules [f] on the pool and returns its
-    future. [deadline_ns] is an absolute [Obs.now_ns] timestamp: a
-    worker that picks the task up past the deadline does not run it
-    (counted in [exec.deadline_hits]); the awaiter runs it inline
-    instead. With [jobs () <= 1] nothing is enqueued and [await] runs
-    [f] inline. Thunks must tolerate being re-run when they raise (the
-    fallback path); pure thunks and idempotent writes qualify. *)
-val submit : ?deadline_ns:int64 -> (unit -> 'a) -> 'a Future.t
-
-(** {1 Deterministic racing} *)
-
-(** [race ?budget_ns thunks] runs the thunks as deadline-raced pool
-    tasks and returns {e all} results, in submission order. The
-    deadline ([budget_ns] after submission) bounds pool-side execution
-    only: a worker that reaches a task past the deadline skips it, and
-    the awaiting caller runs it inline — so every thunk still produces
-    its result and the returned list is identical for every pool size,
-    including [jobs () = 1] (fully sequential). Callers pick the winner
-    from the complete result list with their own deterministic rule;
-    wall-clock never decides an outcome, only where a thunk executes.
-    Thunks must be independent (they may run concurrently) and, like
-    all submitted tasks, tolerate a sequential re-run on the fallback
-    path. *)
-val race : ?budget_ns:int64 -> (unit -> 'a) list -> 'a list
+(** [submit f] schedules [f] on the pool and returns its future. With
+    [jobs () <= 1] nothing is enqueued and [await] runs [f] inline.
+    Thunks must tolerate being re-run when they raise (the fallback
+    path); pure thunks and idempotent writes qualify. *)
+val submit : (unit -> 'a) -> 'a Future.t
 
 (** {1 Domain-local slots} *)
 

@@ -139,15 +139,14 @@ let exact (t : Wproblem.t) =
     Wproblem.drop t ~cell
   done;
   Array.iteri (fun i cand -> Wproblem.apply t ~cell:i ~cand) best_assign;
-  let moves =
-    Array.fold_left
-      (fun acc (c : Wproblem.cell) -> if c.cur <> 0 then acc + 1 else acc)
-      0 t.cells
-  in
+  let moves = ref 0 in
+  Array.iteri
+    (fun i (c : Wproblem.cell) -> if c.cur <> saved.(i) then incr moves)
+    t.cells;
   {
     objective_before = before;
     objective_after = Wproblem.objective t;
-    moves;
+    moves = !moves;
     passes = 1;
   }
 
@@ -155,9 +154,11 @@ let exact (t : Wproblem.t) =
    future-work direction (iii)): random single-cell moves accepted by the
    Metropolis rule with a geometric cooling schedule, the best visited
    assignment kept, and a final greedy polish. Deterministic: the RNG is
-   seeded from the problem shape. *)
-let anneal ?max_passes (t : Wproblem.t) =
-  let g_stats = greedy ?max_passes t in
+   seeded from the problem shape. [anneal_from_greedy] is the part after
+   the greedy run, continuing from the state it left and its stats
+   [g_stats]; the portfolio shares that greedy run with its own greedy
+   candidate. *)
+let anneal_from_greedy ?max_passes (t : Wproblem.t) (g_stats : stats) =
   let n = Array.length t.cells in
   if n = 0 then g_stats
   else begin
@@ -205,21 +206,21 @@ let anneal ?max_passes (t : Wproblem.t) =
     }
   end
 
-(* --- the racing portfolio ---
+let anneal ?max_passes t =
+  anneal_from_greedy ?max_passes t (greedy ?max_passes t)
 
-   Every admissible solver runs on its own clone of the problem, raced
-   on the shared Exec pool under a soft deadline. The deadline bounds
-   where a racer executes, never whether (an expired task is run inline
-   by the awaiter — the Exec.race contract), so the full result list is
-   always available and the winner is a pure function of the problem:
-   best objective, ties broken by the fixed rank order exact > greedy >
-   anneal. That rule is what keeps `Portfolio byte-identical across
-   --jobs. *)
+(* --- the portfolio ---
 
-let portfolio_budget_ns = 250_000_000L
+   The winner among exact (when admissible), greedy and anneal is the
+   best objective, ties broken by the fixed rank exact > greedy >
+   anneal. Anneal starts with the very greedy run that is greedy's own
+   result, so one sequential pass computes all three: exact on a clone,
+   greedy on the problem (its assignment snapshotted), then the
+   annealing continuation from that state. The rule depends only on the
+   problem, so results are byte-identical across --jobs. *)
 
-(* exact joins the race only on windows where it is clearly cheap; the
-   same bound `Auto uses to prefer it *)
+(* exact joins the portfolio only on windows where it is clearly cheap;
+   the same bound `Auto uses to prefer it *)
 let exact_admissible t =
   Array.length t.Wproblem.cells <= 6 && exact_search_space t <= 50_000
 
@@ -228,38 +229,31 @@ let c_win_greedy = Obs.counter "distopt.portfolio_wins.greedy"
 let c_win_anneal = Obs.counter "distopt.portfolio_wins.anneal"
 
 let portfolio ?max_passes t =
-  let racers =
-    (if exact_admissible t then [ (c_win_exact, fun p -> exact p) ] else [])
-    @ [
-        (c_win_greedy, (fun p -> greedy ?max_passes p));
-        (c_win_anneal, (fun p -> anneal ?max_passes p));
-      ]
+  let exact_entry =
+    if exact_admissible t then begin
+      let p = Wproblem.clone t in
+      let s = exact p in
+      [ (c_win_exact, Wproblem.assignment p, s) ]
+    end
+    else []
   in
-  let entries =
-    List.map
-      (fun (win_counter, solver) ->
-        let p = Wproblem.clone t in
-        (win_counter, p, fun () -> solver p))
-      racers
+  let g = greedy ?max_passes t in
+  let greedy_entry = (c_win_greedy, Wproblem.assignment t, g) in
+  let a = anneal_from_greedy ?max_passes t g in
+  let anneal_entry = (c_win_anneal, Wproblem.assignment t, a) in
+  (* entries in rank order; a later one wins only by a strictly lower
+     objective *)
+  let better ((_, _, (b : stats)) as best) ((_, _, (s : stats)) as e) =
+    if s.objective_after >= b.objective_after then best else e
   in
-  let results =
-    Exec.race ~budget_ns:portfolio_budget_ns
-      (List.map (fun (_, _, thunk) -> thunk) entries)
+  let win_counter, assignment, s =
+    match exact_entry @ [ greedy_entry; anneal_entry ] with
+    | first :: rest -> List.fold_left better first rest
+    | [] -> anneal_entry (* unreachable: the list is nonempty *)
   in
-  let best = ref None in
-  List.iter2
-    (fun (win_counter, p, _) (s : stats) ->
-      match !best with
-      | Some (_, _, (b : stats))
-        when s.objective_after >= b.objective_after -> ()
-      | _ -> best := Some (win_counter, p, s))
-    entries results;
-  match !best with
-  | None -> greedy ?max_passes t (* unreachable: the racer list is nonempty *)
-  | Some (win_counter, p, s) ->
-    Obs.Counter.incr win_counter;
-    Wproblem.set_assignment t (Wproblem.assignment p);
-    s
+  Obs.Counter.incr win_counter;
+  Wproblem.set_assignment t assignment;
+  s
 
 let c_mode_greedy = Obs.counter "scp.mode.greedy"
 let c_mode_exact = Obs.counter "scp.mode.exact"

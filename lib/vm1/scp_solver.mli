@@ -12,16 +12,16 @@
     final greedy pass — the paper's future-work direction (iii);
     deterministic, never worse than [`Greedy] on the same problem.
 
-    [`Portfolio] races the heterogeneous solvers against each other:
-    [`Exact] (only when admissible by the [`Auto] bound), [`Greedy] and
-    [`Anneal] each run on their own {!Wproblem.clone} as deadline-raced
-    tasks on the shared [Exec] pool ([Exec.race]), and the winner —
-    best [objective_after], ties broken by the fixed solver rank
-    exact > greedy > anneal — is applied back to the input problem.
-    Deadlines bound only {e where} a racer executes (expired tasks run
-    inline in the awaiter), so the winner is a pure function of the
-    problem and results are byte-identical across [--jobs]; never worse
-    than [`Greedy] or [`Anneal] alone on the same window.
+    [`Portfolio] picks the best of the heterogeneous solvers: [`Exact]
+    (only when admissible by the [`Auto] bound, on a
+    {!Wproblem.clone}), [`Greedy] and [`Anneal], computed in one
+    sequential pass — [`Anneal] continues from the greedy run that is
+    also [`Greedy]'s result. The winner — best [objective_after], ties
+    broken by the fixed solver rank exact > greedy > anneal — is applied
+    to the input problem and counted in [distopt.portfolio_wins.*]. The
+    winner is a pure function of the problem, so results are
+    byte-identical across [--jobs]; never worse than [`Greedy] or
+    [`Anneal] alone on the same window.
 
     Tests validate [`Exact] against the generic MILP formulation and
     measure the [`Greedy]-vs-[`Exact] gap on small windows. *)

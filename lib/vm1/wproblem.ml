@@ -41,6 +41,7 @@ type t = {
   occ : Bytes.t;        (* per-site movable-cell count + fixed marks *)
   fixed_occ : Bytes.t;  (* fixed blockage only *)
   cand_index : (int, int) Hashtbl.t array;  (* encoded candidate -> index *)
+  row_cells : int list array;  (* window row -> cells with a candidate in it *)
 }
 
 (* --- occupancy helpers; coordinates are window-local. Occupancy is a
@@ -107,6 +108,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t) (params : Pa
       occ = Bytes.make (bw * bh) '\000';
       fixed_occ = Bytes.make (bw * bh) '\000';
       cand_index = [||];
+      row_cells = [||];
     }
   in
   let fixed_occ = Bytes.make (bw * bh) '\000' in
@@ -362,9 +364,23 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t) (params : Pa
         h)
       cells
   in
+  (* per window row, ascending, the cells with any candidate in that row
+     (shove_plan's search space). Cells are visited in descending order
+     and prepended, so a cell's repeat visits to a row find it already
+     at the head. *)
+  let row_cells = Array.make bh [] in
+  for c = n_cells - 1 downto 0 do
+    Array.iter
+      (fun (cand : candidate) ->
+        let r = cand.row - row_lo in
+        match row_cells.(r) with
+        | hd :: _ when hd = c -> ()
+        | l -> row_cells.(r) <- c :: l)
+      cells.(c).cands
+  done;
   let t =
     { shell with cells; nets; pairs; cell_nets; cell_pairs; occ; fixed_occ;
-      cand_index }
+      cand_index; row_cells }
   in
   Array.iter
     (fun cell ->
@@ -576,15 +592,17 @@ let shove_plan t ~cell ~cand =
     let orient = cc.cands.(cc.cur).orient in
     Hashtbl.find_opt t.cand_index.(idx) (encode_cand t ~site ~row ~orient)
   in
-  (* movable cells currently in the target row, except the moving one *)
+  (* movable cells currently in the target row, except the moving one;
+     only cells with a candidate in the row can be there *)
   let in_row = ref [] in
-  Array.iteri
-    (fun idx (cc : cell) ->
+  List.iter
+    (fun idx ->
       if idx <> cell then begin
+        let cc = t.cells.(idx) in
         let cur = cc.cands.(cc.cur) in
         if cur.row = row then in_row := (idx, cur.site, cc.width) :: !in_row
       end)
-    t.cells;
+    t.row_cells.(row - t.row_lo);
   let asc = List.sort (fun (_, s1, _) (_, s2, _) -> Int.compare s1 s2) !in_row in
   let desc = List.rev asc in
   let moves = ref [ (cell, cand) ] in

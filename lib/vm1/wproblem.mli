@@ -55,6 +55,9 @@ type t = {
   occ : Bytes.t;  (** bw x bh per-site occupant count (fixed + movable) *)
   fixed_occ : Bytes.t;  (** fixed blockage only *)
   cand_index : (int, int) Hashtbl.t array;  (** encoded candidate -> index *)
+  row_cells : int list array;
+  (** window row -> the cells with any candidate in that row, ascending;
+      immutable, and a superset of the cells currently in the row *)
 }
 
 (** [row_index placement] buckets instance ids by their current row.
@@ -165,7 +168,7 @@ val set_assignment : t -> int array -> unit
 
 (** [clone t] is an independently-solvable copy: private cell states and
     occupancy, shared immutable structure (candidates, geometries, nets,
-    pairs, fixed blockage). Solver portfolios race clones of one
-    extraction; clones must never be {!commit}ted (they share the
-    placement with the original). *)
+    pairs, fixed blockage, row index). The solver portfolio runs its
+    exhaustive search on a clone; clones must never be {!commit}ted
+    (they share the placement with the original). *)
 val clone : t -> t

@@ -99,7 +99,7 @@ let test_dangling_pin_rejected () =
     (Netlist.Design.validate bad <> [])
 
 (* --- the sanitizer stays clean after a portfolio + window-cache flow:
-   the racing solver and the memo-cache replay path both feed the same
+   the portfolio solver and the memo-cache replay path both feed the same
    oracles (placement legality, window independence, objective recount,
    shard monitor, MILP re-verification) as the plain greedy flow --- *)
 

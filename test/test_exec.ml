@@ -135,13 +135,6 @@ let test_route_identity () =
 
 let test_fallback () =
   Exec.set_jobs 4;
-  (* expired deadline: the awaiter re-runs the thunk sequentially *)
-  let f =
-    Exec.submit
-      ~deadline_ns:(Int64.sub (Obs.now_ns ()) 1_000_000L)
-      (fun () -> 41 + 1)
-  in
-  Alcotest.(check int) "deadline fallback" 42 (Exec.Future.await f);
   (* a raising task propagates to the awaiter without hurting the pool *)
   let g = Exec.submit (fun () -> raise Exit) in
   (match Exec.Future.await g with
@@ -155,10 +148,7 @@ let test_future_combinators () =
   let f = Exec.Future.map (fun x -> x * 2) (Exec.submit (fun () -> 21)) in
   Alcotest.(check int) "map" 42 (Exec.Future.await f);
   let l = Exec.Future.all (List.init 10 (fun i -> Exec.submit (fun () -> i))) in
-  Alcotest.(check (list int)) "all" (sorted_range 10) (Exec.Future.await l);
-  let c = Exec.submit (fun () -> 7) in
-  ignore (Exec.Future.cancel c);
-  Alcotest.(check int) "cancelled still awaits" 7 (Exec.Future.await c)
+  Alcotest.(check (list int)) "all" (sorted_range 10) (Exec.Future.await l)
 
 (* The warm-up spawns exactly jobs-1 domains; no parallel call after
    that may spawn another (the satellite fix for spawn-per-batch). *)
@@ -200,7 +190,7 @@ let () =
         ] );
       ( "degradation",
         [
-          Alcotest.test_case "deadline and exception fallback" `Quick
+          Alcotest.test_case "exception fallback" `Quick
             test_fallback;
           Alcotest.test_case "future combinators" `Quick
             test_future_combinators;

@@ -303,6 +303,17 @@ let test_exact_beats_or_ties_greedy () =
     (e.Vm1.Scp_solver.objective_after
      <= g.Vm1.Scp_solver.objective_after +. 1e-6)
 
+(* [moves] counts cells that left their input candidate: solving again
+   from exact's own optimum, where some cells sit off candidate 0, moves
+   nothing *)
+let test_exact_moves_from_input () =
+  let p = placed closed_lib in
+  let t = tiny_window p closed_params in
+  let first = Vm1.Scp_solver.solve ~mode:`Exact t in
+  checkb "first solve moves a cell" true (first.Vm1.Scp_solver.moves > 0);
+  let again = Vm1.Scp_solver.solve ~mode:`Exact t in
+  check "no moves at the optimum" 0 again.Vm1.Scp_solver.moves
+
 let test_anneal_not_worse_than_greedy () =
   let p1 = placed closed_lib in
   let t1 = whole_die_problem p1 closed_params in
@@ -397,8 +408,8 @@ let test_milp_matches_exact_openm1 () =
 (* --- Scp_solver portfolio mode --- *)
 
 let test_portfolio_not_worse_than_greedy () =
-  (* greedy is one of the racers and the winner is the best objective, so
-     the portfolio can never lose to greedy alone *)
+  (* greedy is one of the candidates and the winner is the best
+     objective, so the portfolio can never lose to greedy alone *)
   let p = placed ~n:120 closed_lib in
   let tg = whole_die_problem p closed_params in
   let tp = Vm1.Wproblem.clone tg in
@@ -412,8 +423,8 @@ let test_portfolio_not_worse_than_greedy () =
      <= sp.Vm1.Scp_solver.objective_before +. 1e-9)
 
 let test_portfolio_deterministic () =
-  (* the deadline bounds only where a racer runs, never whether: the
-     winner is a pure function of the problem, so repeated runs agree *)
+  (* the winner is a pure function of the problem, so repeated runs
+     agree *)
   let run () =
     let p = placed ~n:200 closed_lib in
     let t = whole_die_problem p closed_params in
@@ -649,6 +660,8 @@ let () =
           Alcotest.test_case "greedy monotone" `Quick test_greedy_never_worsens;
           Alcotest.test_case "exact beats greedy" `Quick test_exact_beats_or_ties_greedy;
           Alcotest.test_case "exact refuses large" `Quick test_exact_refuses_large;
+          Alcotest.test_case "exact moves from input" `Quick
+            test_exact_moves_from_input;
           Alcotest.test_case "anneal beats greedy" `Quick test_anneal_not_worse_than_greedy;
           Alcotest.test_case "anneal deterministic" `Quick test_anneal_deterministic;
           Alcotest.test_case "portfolio beats greedy" `Quick
