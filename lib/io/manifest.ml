@@ -8,12 +8,22 @@ type source =
 
 type entry = { e_id : string; source : source }
 
+type step = { bw_um : float; lx : int; ly : int }
+
+type params = {
+  p_id : string;
+  alpha : float option;
+  sequence : step list option;
+  router_layers : int option;
+}
+
 type t = {
   m_name : string;
   entries : entry list;
   archs : Pdk.Cell_arch.t list;
   utils : float list;
   scales : int list;
+  params : params list;
 }
 
 (* --- JSON ------------------------------------------------------------ *)
@@ -55,6 +65,27 @@ let arch_of_json ~what j =
   | Some a -> Ok a
   | None -> Error (Printf.sprintf "%s: unknown architecture %S" what s)
 
+let opt_field obj key f =
+  match Obs.Json.member key obj with
+  | None -> Ok None
+  | Some v -> Result.map Option.some (f v)
+
+let require cond msg = if cond then Ok () else Error msg
+
+let no_duplicates ~what ids =
+  let seen = Hashtbl.create 7 in
+  let rec go = function
+    | [] -> Ok ()
+    | id :: rest ->
+      if Hashtbl.mem seen id then
+        Error (Printf.sprintf "manifest: duplicate %s id %S" what id)
+      else begin
+        Hashtbl.replace seen id ();
+        go rest
+      end
+  in
+  go ids
+
 let entry_of_json j =
   let* id = Result.bind (field j "id" ~what:"design entry") (str ~what:"design id") in
   let what = Printf.sprintf "design %S" id in
@@ -68,13 +99,7 @@ let entry_of_json j =
     | None -> Error (Printf.sprintf "%s: unknown generator design %S" what s))
   | None, Some d ->
     let* def_path = str ~what:(what ^ ": \"def\"") d in
-    let* lef_path =
-      match Obs.Json.member "lef" j with
-      | None -> Ok None
-      | Some l ->
-        let* p = str ~what:(what ^ ": \"lef\"") l in
-        Ok (Some p)
-    in
+    let* lef_path = opt_field j "lef" (str ~what:(what ^ ": \"lef\"")) in
     let* arch =
       match Obs.Json.member "arch" j with
       | None -> Ok Pdk.Cell_arch.Closed_m1
@@ -83,6 +108,58 @@ let entry_of_json j =
     Ok { e_id = id; source = External { def_path; lef_path; arch } }
   | None, None ->
     Error (Printf.sprintf "%s: needs \"generate\" or \"def\"" what)
+
+let step_of_json ~what = function
+  | Obs.Json.List [ bw; lx; ly ] ->
+    let* bw_um = number ~what bw in
+    let* lx = int_of ~what lx in
+    let* ly = int_of ~what ly in
+    let* () =
+      require (bw_um > 0.0 && lx >= 0 && ly >= 0)
+        (Printf.sprintf "%s: step [%g, %d, %d] needs bw_um > 0, lx >= 0, ly >= 0"
+           what bw_um lx ly)
+    in
+    Ok { bw_um; lx; ly }
+  | j ->
+    Error
+      (Printf.sprintf "%s: expected a [bw_um, lx, ly] step, got %s" what
+         (Obs.Json.to_string j))
+
+let params_keys = [ "id"; "alpha"; "sequence"; "router_layers" ]
+
+let params_of_json j =
+  let* p_id = Result.bind (field j "id" ~what:"params entry") (str ~what:"params id") in
+  let what = Printf.sprintf "manifest: params %S" p_id in
+  let* () =
+    match j with
+    | Obs.Json.Obj kvs ->
+      (match List.find_opt (fun (k, _) -> not (List.mem k params_keys)) kvs with
+      | Some (k, _) -> Error (Printf.sprintf "%s: unknown key %S" what k)
+      | None -> Ok ())
+    | _ -> Ok ()
+  in
+  let* alpha = opt_field j "alpha" (number ~what:(what ^ ": alpha")) in
+  let* () =
+    require
+      (match alpha with Some a -> a >= 0.0 | None -> true)
+      (what ^ ": alpha must be >= 0")
+  in
+  let* sequence =
+    opt_field j "sequence"
+      (list_of ~what:(what ^ ": sequence") (step_of_json ~what:(what ^ ": sequence")))
+  in
+  let* () =
+    require (sequence <> Some []) (what ^ ": sequence must not be empty")
+  in
+  let* router_layers =
+    opt_field j "router_layers" (int_of ~what:(what ^ ": router_layers"))
+  in
+  let* () =
+    require
+      (match router_layers with Some n -> n >= 2 && n <= 6 | None -> true)
+      (what ^ ": router_layers must be in 2..6")
+  in
+  Ok { p_id; alpha; sequence; router_layers }
 
 let of_json j =
   let what = "manifest" in
@@ -109,24 +186,33 @@ let of_json j =
     Result.bind (field j "scales" ~what)
       (list_of ~what:"scales" (int_of ~what:"scales"))
   in
+  let* params =
+    opt_field j "params" (list_of ~what:"params" params_of_json)
+  in
+  let* () = require (entries <> []) "manifest: no designs" in
+  let* () = no_duplicates ~what:"design" (List.map (fun e -> e.e_id) entries) in
+  let* () = require (archs <> []) "manifest: no archs" in
+  let* () = require (utils <> []) "manifest: no utils" in
+  let* () = require (scales <> []) "manifest: no scales" in
   let* () =
-    match entries with [] -> Error "manifest: no designs" | _ :: _ -> Ok ()
+    match List.find_opt (fun u -> not (u > 0.0 && u <= 1.0)) utils with
+    | Some u -> Error (Printf.sprintf "manifest: util %g not in (0, 1]" u)
+    | None -> Ok ()
   in
   let* () =
-    let seen = Hashtbl.create 7 in
-    let rec dup = function
-      | [] -> Ok ()
-      | e :: rest ->
-        if Hashtbl.mem seen e.e_id then
-          Error (Printf.sprintf "manifest: duplicate design id %S" e.e_id)
-        else begin
-          Hashtbl.replace seen e.e_id ();
-          dup rest
-        end
-    in
-    dup entries
+    match List.find_opt (fun s -> s < 1) scales with
+    | Some s -> Error (Printf.sprintf "manifest: scale %d must be >= 1" s)
+    | None -> Ok ()
   in
-  Ok { m_name; entries; archs; utils; scales }
+  let* params =
+    match params with
+    | None -> Ok []
+    | Some [] -> Error "manifest: no params"
+    | Some ps ->
+      let* () = no_duplicates ~what:"params" (List.map (fun p -> p.p_id) ps) in
+      Ok ps
+  in
+  Ok { m_name; entries; archs; utils; scales; params }
 
 let entry_to_json e =
   let open Obs.Json in
@@ -144,10 +230,21 @@ let entry_to_json e =
          | Some p -> [ ("lef", Str p) ]
          | None -> [ ("arch", Str (Pdk.Cell_arch.to_string arch)) ]))
 
+let params_to_json p =
+  let open Obs.Json in
+  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+  Obj
+    ((("id", Str p.p_id) :: opt "alpha" (fun a -> Float a) p.alpha)
+    @ opt "sequence"
+        (fun steps ->
+          List (List.map (fun s -> List [ Float s.bw_um; Int s.lx; Int s.ly ]) steps))
+        p.sequence
+    @ opt "router_layers" (fun n -> Int n) p.router_layers)
+
 let to_json m =
   let open Obs.Json in
   Obj
-    [
+    ([
       ("schema", Str Obs.Schemas.bench_manifest);
       ("name", Str m.m_name);
       ("designs", List (List.map entry_to_json m.entries));
@@ -155,6 +252,11 @@ let to_json m =
       ("utils", List (List.map (fun u -> Float u) m.utils));
       ("scales", List (List.map (fun s -> Int s) m.scales));
     ]
+    (* absent when empty, so a manifest without params keeps its bytes
+       (and its digest) *)
+    @ match m.params with
+      | [] -> []
+      | ps -> [ ("params", List (List.map params_to_json ps)) ])
 
 let parse s =
   let* j = Obs.Json.parse s in

@@ -8,6 +8,19 @@
     so the generator axes do not apply). Relative paths are resolved
     against the manifest file's directory at {!load} time.
 
+    An optional [params] axis crosses every cell with named flow
+    parameter sets. Each set may override the dM1 weight [alpha]
+    (default: the architecture's paper value), the optimisation
+    [sequence] of [[bw_um, lx, ly]] steps (default: the paper's single
+    (20, 4, 1) step), and the router's metal-layer count
+    [router_layers] (default: the full stack); an omitted field keeps
+    its default. Without [params] every cell runs the defaults.
+
+    {!of_json} rejects empty axes, utilisations outside (0, 1], scales
+    below 1, negative [alpha], [router_layers] outside 2..6, empty
+    sequences, steps with [bw_um <= 0] or negative [lx]/[ly], unknown
+    params keys and duplicate design or params ids.
+
     Example:
     {v
     { "schema": "vm1dp-bench-manifest/1",
@@ -17,7 +30,11 @@
         { "id": "smoke", "def": "m0_smoke.def", "arch": "closedm1" } ],
       "archs": ["closedm1", "openm1"],
       "utils": [0.7, 0.8],
-      "scales": [48] }
+      "scales": [48],
+      "params": [
+        { "id": "a0", "alpha": 0 },
+        { "id": "seq2", "sequence": [[10, 3, 1], [10, 4, 0], [20, 4, 0]] },
+        { "id": "l3", "router_layers": 3 } ] }
     v} *)
 
 type source =
@@ -34,17 +51,31 @@ type source =
 
 type entry = { e_id : string; source : source }
 
+(** One optimisation step: square window side in micrometres and the
+    maximum displacement in sites / rows. *)
+type step = { bw_um : float; lx : int; ly : int }
+
+(** A named parameter set; [None] fields take the flow defaults. *)
+type params = {
+  p_id : string;
+  alpha : float option;
+  sequence : step list option;
+  router_layers : int option;
+}
+
 type t = {
   m_name : string;
   entries : entry list;
   archs : Pdk.Cell_arch.t list;
   utils : float list;
   scales : int list;
+  params : params list;  (** [[]] when the manifest has no [params] *)
 }
 
 val of_json : Obs.Json.t -> (t, string) result
 
-(** [to_json m] re-emits the manifest; [of_json (to_json m) = Ok m]. *)
+(** [to_json m] re-emits the manifest; [of_json (to_json m) = Ok m]. A
+    manifest without params is emitted without a [params] member. *)
 val to_json : t -> Obs.Json.t
 
 val parse : string -> (t, string) result

@@ -1,80 +1,10 @@
-(** Drivers for every experiment in the paper's evaluation section. Each
-    submodule regenerates one figure or table: a [run] function producing
-    structured points and a [render] producing the rows the paper plots.
-    Every [run] takes [?mode] — the window solver (the [expt --solver]
-    flag; default greedy, the paper's configuration). See EXPERIMENTS.md
+(** The paper's Table 2 row format. The paper's tables and figures
+    themselves are [vm1dp-bench-manifest/1] manifests under
+    [experiments/], run by [expt matrix] ({!Matrix}); see EXPERIMENTS.md
     for paper-vs-measured. *)
 
-(** ExptA-1 / Fig. 5: routed wirelength and runtime vs window size and
-    perturbation range (aes, ClosedM1, one DistOpt pair). *)
-module Fig5 : sig
-  type point = {
-    bw_um : float;
-    lx : int;
-    ly : int;
-    rwl_um : float;
-    runtime_s : float;
-  }
-
-  val run : ?scale:int -> ?mode:Vm1.Scp_solver.mode -> unit -> point list
-  val render : point list -> string
-end
-
-(** ExptA-2 / Fig. 6: routed wirelength and #dM1 vs alpha (aes; ClosedM1
-    by default). The paper ran the same sweep on OpenM1 to select
-    alpha = 1000 but omitted the data "due to the page limit" — pass
-    [~arch:Pdk.Cell_arch.Open_m1] to regenerate it. *)
-module Fig6 : sig
-  type point = {
-    alpha : float;
-    rwl_um : float;
-    dm1 : int;
-    alignments : int;
-  }
-
-  val run :
-    ?scale:int -> ?arch:Pdk.Cell_arch.t -> ?mode:Vm1.Scp_solver.mode ->
-    ?alphas:float list -> unit -> point list
-
-  val render : point list -> string
-end
-
-(** ExptA-3 / Fig. 7: routed wirelength and runtime for the five
-    optimisation sequences. *)
-module Fig7 : sig
-  type point = {
-    sequence : int;
-    rwl_um : float;
-    runtime_s : float;
-  }
-
-  val run : ?scale:int -> ?mode:Vm1.Scp_solver.mode -> unit -> point list
-  val render : point list -> string
-end
-
-(** ExptB / Table 2: full before/after comparison for the four designs on
-    both architectures. *)
+(** ExptB / Table 2: full before/after comparison rows, as [vm1opt]
+    prints them. *)
 module Table2 : sig
-  val run :
-    ?scale:int -> ?mode:Vm1.Scp_solver.mode -> ?archs:Pdk.Cell_arch.t list ->
-    ?designs:Netlist.Designs.name list -> unit -> Flow.comparison list
-
   val render : Flow.comparison list -> string
-end
-
-(** ExptB-1 / Fig. 8: DRVs before/after optimisation and #dM1 vs
-    utilisation (aes, ClosedM1). *)
-module Fig8 : sig
-  type point = {
-    utilization : float;
-    drvs_init : int;
-    drvs_opt : int;
-    dm1_init : int;
-    dm1_opt : int;
-  }
-
-  val run :
-    ?scale:int -> ?mode:Vm1.Scp_solver.mode -> ?utils:float list -> unit ->
-    point list
-  val render : point list -> string
 end

@@ -1,12 +1,21 @@
+type params = {
+  p_id : string;
+  alpha : float;
+  sequence : Vm1.Params.step list;
+  router_layers : int;
+}
+
 type cell = {
   cell_id : string;
   design_name : string;
   arch : Pdk.Cell_arch.t;
   util : float option;
   scale : int option;
+  params : params option;
   instances : int;
   init : Flow.eval;
   final : Flow.eval;
+  opt_runtime_s : float;
 }
 
 type report = {
@@ -23,15 +32,22 @@ type spec =
       arch : Pdk.Cell_arch.t;
       util : float;
       scale : int;
+      prm : Io.Manifest.params option;
     }
   | Ext of {
       s_id : string;
       def_path : string;
       lef_path : string option;
       arch : Pdk.Cell_arch.t;
+      prm : Io.Manifest.params option;
     }
 
 let specs_of_manifest (m : Io.Manifest.t) =
+  let prms =
+    match m.Io.Manifest.params with
+    | [] -> [ None ]
+    | ps -> List.map Option.some ps
+  in
   List.concat_map
     (fun (e : Io.Manifest.entry) ->
       match e.Io.Manifest.source with
@@ -40,46 +56,94 @@ let specs_of_manifest (m : Io.Manifest.t) =
           (fun arch ->
             List.concat_map
               (fun util ->
-                List.map
+                List.concat_map
                   (fun scale ->
-                    Gen { s_id = e.Io.Manifest.e_id; name; arch; util; scale })
+                    List.map
+                      (fun prm ->
+                        Gen
+                          { s_id = e.Io.Manifest.e_id; name; arch; util; scale;
+                            prm })
+                      prms)
                   m.Io.Manifest.scales)
               m.Io.Manifest.utils)
           m.Io.Manifest.archs
       | Io.Manifest.External { def_path; lef_path; arch } ->
-        [ Ext { s_id = e.Io.Manifest.e_id; def_path; lef_path; arch } ])
+        List.map
+          (fun prm ->
+            Ext { s_id = e.Io.Manifest.e_id; def_path; lef_path; arch; prm })
+          prms)
     m.Io.Manifest.entries
 
+let no_params =
+  { Io.Manifest.p_id = ""; alpha = None; sequence = None; router_layers = None }
+
+(* the manifest's params set with every omitted field at its default *)
+let resolve (defaults : Vm1.Params.t) (q : Io.Manifest.params) =
+  {
+    p_id = q.Io.Manifest.p_id;
+    alpha = Option.value q.Io.Manifest.alpha ~default:defaults.Vm1.Params.alpha;
+    sequence =
+      (match q.Io.Manifest.sequence with
+      | None -> Vm1.Params.default_sequence
+      | Some steps ->
+        List.map
+          (fun (s : Io.Manifest.step) ->
+            { Vm1.Params.bw_um = s.Io.Manifest.bw_um; lx = s.lx; ly = s.ly })
+          steps);
+    router_layers =
+      Option.value q.Io.Manifest.router_layers
+        ~default:Route.Router.default_config.Route.Router.layers;
+  }
+
 (* evaluate init, optimise (sequentially — the cell grid is the unit of
-   parallelism), re-evaluate against the same clock *)
-let run_pipeline p =
-  let params = Vm1.Params.default p.Place.Placement.tech in
-  let init, clock_ps = Flow.evaluate params p in
-  let config =
-    { Vm1.Vm1_opt.default_config with Vm1.Vm1_opt.parallel = false }
+   parallelism), re-evaluate against the same clock; the router layer
+   count applies to both evaluations *)
+let run_pipeline prm p =
+  let defaults = Vm1.Params.default p.Place.Placement.tech in
+  let q = resolve defaults (Option.value prm ~default:no_params) in
+  let params = { defaults with Vm1.Params.alpha = q.alpha } in
+  let router_config =
+    { Route.Router.default_config with Route.Router.layers = q.router_layers }
   in
-  ignore (Vm1.Vm1_opt.run ~config params p);
-  let final, _ = Flow.evaluate ~clock_ps params p in
-  (init, final)
+  let init, clock_ps = Flow.evaluate ~router_config params p in
+  let config =
+    {
+      Vm1.Vm1_opt.default_config with
+      Vm1.Vm1_opt.parallel = false;
+      sequence = q.sequence;
+    }
+  in
+  let report = Vm1.Vm1_opt.run ~config params p in
+  let final, _ = Flow.evaluate ~clock_ps ~router_config params p in
+  (Option.map (fun _ -> q) prm, init, final, report.Vm1.Vm1_opt.runtime_s)
+
+let with_params id = function
+  | Some q -> id ^ "/" ^ q.p_id
+  | None -> id
 
 let run_cell = function
-  | Gen { s_id; name; arch; util; scale } ->
+  | Gen { s_id; name; arch; util; scale; prm } ->
     let design = Netlist.Designs.make ~scale name arch in
     let p = Flow.prepare_placement ~utilization:util design in
-    let init, final = run_pipeline p in
+    let params, init, final, opt_runtime_s = run_pipeline prm p in
     Ok
       {
-        cell_id = Printf.sprintf "%s/%s/u%.2f/s%d" s_id
-            (Pdk.Cell_arch.to_string arch) util scale;
+        cell_id =
+          with_params
+            (Printf.sprintf "%s/%s/u%.2f/s%d" s_id
+               (Pdk.Cell_arch.to_string arch) util scale)
+            params;
         design_name = Netlist.Designs.to_string name;
         arch;
         util = Some util;
         scale = Some scale;
+        params;
         instances = Netlist.Design.num_instances design;
         init;
         final;
+        opt_runtime_s;
       }
-  | Ext { s_id; def_path; lef_path; arch } ->
+  | Ext { s_id; def_path; lef_path; arch; prm } ->
     let lib =
       match lef_path with
       | Some path ->
@@ -94,17 +158,19 @@ let run_cell = function
         | Error msg -> Error (Printf.sprintf "%s: %s" def_path msg)
         | Ok (design, def) ->
           let p = Place.Placement.of_def design def in
-          let init, final = run_pipeline p in
+          let params, init, final, opt_runtime_s = run_pipeline prm p in
           Ok
             {
-              cell_id = s_id ^ "/ext";
+              cell_id = with_params (s_id ^ "/ext") params;
               design_name = design.Netlist.Design.name;
               arch = lib.Pdk.Libgen.tech.Pdk.Tech.arch;
               util = None;
               scale = None;
+              params;
               instances = Netlist.Design.num_instances design;
               init;
               final;
+              opt_runtime_s;
             })
 
 let run (m : Io.Manifest.t) =
@@ -141,15 +207,33 @@ let eval_json (e : Flow.eval) =
       ("alignments", Obs.Json.Int e.Flow.alignments);
     ]
 
-let cell_json (c : cell) =
+let params_json q =
   let open Obs.Json in
   Obj
     [
+      ("id", Str q.p_id);
+      ("alpha", Float q.alpha);
+      ( "sequence",
+        List
+          (List.map
+             (fun (s : Vm1.Params.step) ->
+               List [ Float s.Vm1.Params.bw_um; Int s.lx; Int s.ly ])
+             q.sequence) );
+      ("router_layers", Int q.router_layers);
+    ]
+
+let cell_json (c : cell) =
+  let open Obs.Json in
+  Obj
+    ([
       ("id", Str c.cell_id);
       ("design", Str c.design_name);
       ("arch", Str (Pdk.Cell_arch.to_string c.arch));
       ("util", match c.util with Some u -> Float u | None -> Null);
       ("scale", match c.scale with Some s -> Int s | None -> Null);
+    ]
+  @ (match c.params with Some q -> [ ("params", params_json q) ] | None -> [])
+  @ [
       ("instances", Int c.instances);
       ("init", eval_json c.init);
       ("final", eval_json c.final);
@@ -165,7 +249,7 @@ let cell_json (c : cell) =
                    (float_of_int c.init.Flow.via12)
                    (float_of_int c.final.Flow.via12)) );
           ] );
-    ]
+    ])
 
 let to_json (r : report) =
   let open Obs.Json in
@@ -180,7 +264,7 @@ let to_json (r : report) =
 let render (r : report) =
   let header =
     [ "cell"; "inst"; "dM1 i->f"; "via12 i->f"; "RWL um (d%)";
-      "HPWL um (d%)"; "DRV i->f" ]
+      "HPWL um (d%)"; "DRV i->f"; "opt s" ]
   in
   let rows =
     List.map
@@ -195,6 +279,7 @@ let render (r : report) =
           Table.f1 c.final.Flow.hpwl_um
           ^ " " ^ Table.pct c.init.Flow.hpwl_um c.final.Flow.hpwl_um;
           Printf.sprintf "%d -> %d" c.init.Flow.drvs c.final.Flow.drvs;
+          Table.f2 c.opt_runtime_s;
         ])
       r.cells
   in

@@ -26,15 +26,6 @@ let render ~header ~rows =
   List.iter emit rows;
   Buffer.contents buf
 
-let to_csv ~header ~rows =
-  let escape s =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-    else s
-  in
-  let line row = String.concat "," (List.map escape row) in
-  String.concat "\n" (line header :: List.map line rows) ^ "\n"
-
 let fi = string_of_int
 let f1 = Printf.sprintf "%.1f"
 let f2 = Printf.sprintf "%.2f"

@@ -1,9 +1,7 @@
-(** Fixed-width ASCII tables and CSV output for experiment reports. *)
+(** Fixed-width ASCII tables for experiment reports. *)
 
 (** [render ~header ~rows] pads every column to its widest entry. *)
 val render : header:string list -> rows:string list list -> string
-
-val to_csv : header:string list -> rows:string list list -> string
 
 (** Formatting helpers used across experiment tables. *)
 

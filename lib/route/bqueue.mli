@@ -5,9 +5,9 @@
     surcharge + congestion penalty), so consecutive pop priorities move
     through a narrow, mostly increasing band. A bucket per priority with
     a cursor that only scans forward makes push and pop O(1) amortised —
-    no comparisons, no sifting — which is why it replaces {!Heap} on the
-    router hot path. {!Heap} remains for callers needing arbitrary,
-    widely-spread priorities.
+    no comparisons, no sifting — which is why it replaces a binary heap
+    on the router hot path (the test suite keeps one as the reference
+    ordering this queue is property-tested against).
 
     The structure is exact, not merely monotone: a push below the last
     popped priority moves the cursor back, so pops always return the

@@ -291,6 +291,41 @@ let test_manifest_parse_and_roundtrip () =
   let m2 =
     ok_or_fail "reparse" (Io.Manifest.of_json (Io.Manifest.to_json m))
   in
+  checkb "round-trip" true (m = m2);
+  checkb "no params" true (m.Io.Manifest.params = [])
+
+let params_manifest_json =
+  {|{ "schema": "vm1dp-bench-manifest/1",
+      "name": "p",
+      "designs": [ { "id": "aes", "generate": "aes" } ],
+      "archs": ["closedm1"],
+      "utils": [0.75],
+      "scales": [16],
+      "params": [
+        { "id": "a800", "alpha": 800 },
+        { "id": "seq2", "sequence": [[10, 3, 1], [10.5, 4, 0]] },
+        { "id": "l3", "router_layers": 3, "alpha": 0.5 } ] }|}
+
+let test_manifest_params_roundtrip () =
+  let m = ok_or_fail "parse" (Io.Manifest.parse params_manifest_json) in
+  (match m.Io.Manifest.params with
+  | [ a; s; l ] ->
+    checkb "alpha" true (a.Io.Manifest.alpha = Some 800.0);
+    checkb "alpha only" true
+      (a.Io.Manifest.sequence = None && a.Io.Manifest.router_layers = None);
+    checkb "sequence" true
+      (s.Io.Manifest.sequence
+      = Some
+          [
+            { Io.Manifest.bw_um = 10.0; lx = 3; ly = 1 };
+            { Io.Manifest.bw_um = 10.5; lx = 4; ly = 0 };
+          ]);
+    checkb "layers" true (l.Io.Manifest.router_layers = Some 3);
+    checkb "layers alpha" true (l.Io.Manifest.alpha = Some 0.5)
+  | _ -> Alcotest.fail "expected three params sets");
+  let m2 =
+    ok_or_fail "reparse" (Io.Manifest.of_json (Io.Manifest.to_json m))
+  in
   checkb "round-trip" true (m = m2)
 
 let manifest_err json =
@@ -314,7 +349,55 @@ let test_manifest_errors () =
        {|{"schema":"vm1dp-bench-manifest/1","name":"x","designs":[{"id":"a","generate":"m0","def":"x.def"}],"archs":[],"utils":[],"scales":[]}|});
   checks "unknown generator" "design \"a\": unknown generator design \"zz\""
     (manifest_err
-       {|{"schema":"vm1dp-bench-manifest/1","name":"x","designs":[{"id":"a","generate":"zz"}],"archs":[],"utils":[],"scales":[]}|})
+       {|{"schema":"vm1dp-bench-manifest/1","name":"x","designs":[{"id":"a","generate":"zz"}],"archs":[],"utils":[],"scales":[]}|});
+  (* axes: [axes] is spliced after a valid designs list *)
+  let axes_err axes =
+    manifest_err
+      ({|{"schema":"vm1dp-bench-manifest/1","name":"x","designs":[{"id":"a","generate":"m0"}],|}
+      ^ axes ^ "}")
+  in
+  checks "no archs" "manifest: no archs"
+    (axes_err {|"archs":[],"utils":[0.7],"scales":[16]|});
+  checks "no utils" "manifest: no utils"
+    (axes_err {|"archs":["closedm1"],"utils":[],"scales":[16]|});
+  checks "no scales" "manifest: no scales"
+    (axes_err {|"archs":["closedm1"],"utils":[0.7],"scales":[]|});
+  checks "util above 1" "manifest: util 1.5 not in (0, 1]"
+    (axes_err {|"archs":["closedm1"],"utils":[0.7,1.5],"scales":[16]|});
+  checks "negative util" "manifest: util -0.2 not in (0, 1]"
+    (axes_err {|"archs":["closedm1"],"utils":[-0.2],"scales":[16]|});
+  checks "zero util" "manifest: util 0 not in (0, 1]"
+    (axes_err {|"archs":["closedm1"],"utils":[0],"scales":[16]|});
+  checks "zero scale" "manifest: scale 0 must be >= 1"
+    (axes_err {|"archs":["closedm1"],"utils":[0.7],"scales":[0]|});
+  let params_err params =
+    axes_err ({|"archs":["closedm1"],"utils":[0.7],"scales":[16],"params":|} ^ params)
+  in
+  checks "no params" "manifest: no params" (params_err "[]");
+  checks "negative alpha" "manifest: params \"p\": alpha must be >= 0"
+    (params_err {|[{"id":"p","alpha":-1}]|});
+  checks "too few layers" "manifest: params \"p\": router_layers must be in 2..6"
+    (params_err {|[{"id":"p","router_layers":1}]|});
+  checks "too many layers" "manifest: params \"p\": router_layers must be in 2..6"
+    (params_err {|[{"id":"p","router_layers":7}]|});
+  checks "empty sequence" "manifest: params \"p\": sequence must not be empty"
+    (params_err {|[{"id":"p","sequence":[]}]|});
+  checks "zero window"
+    "manifest: params \"p\": sequence: step [0, 4, 1] needs bw_um > 0, lx >= 0, ly >= 0"
+    (params_err {|[{"id":"p","sequence":[[20,4,1],[0,4,1]]}]|});
+  checks "negative lx"
+    "manifest: params \"p\": sequence: step [20, -1, 1] needs bw_um > 0, lx >= 0, ly >= 0"
+    (params_err {|[{"id":"p","sequence":[[20,-1,1]]}]|});
+  checks "negative ly"
+    "manifest: params \"p\": sequence: step [20, 4, -1] needs bw_um > 0, lx >= 0, ly >= 0"
+    (params_err {|[{"id":"p","sequence":[[20,4,-1]]}]|});
+  checks "short step"
+    "manifest: params \"p\": sequence: expected a [bw_um, lx, ly] step, got [20,4]"
+    (params_err {|[{"id":"p","sequence":[[20,4]]}]|});
+  checks "unknown key" "manifest: params \"p\": unknown key \"solver\""
+    (params_err {|[{"id":"p","solver":"exact"}]|});
+  checks "duplicate params id" "manifest: duplicate params id \"p\""
+    (params_err {|[{"id":"p","alpha":0},{"id":"p","alpha":1}]|})
 
 (* --- the reason the codec exists: QoR survives the round-trip --------- *)
 
@@ -385,6 +468,8 @@ let () =
         [
           Alcotest.test_case "parse and round-trip" `Quick
             test_manifest_parse_and_roundtrip;
+          Alcotest.test_case "params round-trip" `Quick
+            test_manifest_params_roundtrip;
           Alcotest.test_case "errors" `Quick test_manifest_errors;
         ] );
       ( "qor",

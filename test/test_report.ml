@@ -1,4 +1,5 @@
-(* Tests for the reporting layer: table rendering, CSV, flow helpers. *)
+(* Tests for the reporting layer: table rendering, flow helpers, the
+   experiment matrix. *)
 
 let checks = Alcotest.(check string)
 let checkb = Alcotest.(check bool)
@@ -22,12 +23,6 @@ let test_render_alignment () =
          let re = Str.regexp_string cell in
          (try ignore (Str.search_forward re out 0); true with Not_found -> false))
        [ "a"; "long"; "xx"; "y" ])
-
-let test_csv_escaping () =
-  let out =
-    Report.Table.to_csv ~header:[ "x" ] ~rows:[ [ "has,comma" ]; [ "plain" ] ]
-  in
-  checks "csv" "x\n\"has,comma\"\nplain\n" out
 
 let test_number_formats () =
   checks "fi" "42" (Report.Table.fi 42);
@@ -161,13 +156,98 @@ let test_congestion_cost_plumbing () =
   ignore (Vm1.Vm1_opt.run ~config params p);
   Alcotest.(check (list string)) "legal" [] (Place.Legalize.check p)
 
+let contains s sub =
+  try
+    ignore (Str.search_forward (Str.regexp_string sub) s 0);
+    true
+  with Not_found -> false
+
+(* the params axis: each set crosses the grid, suffixes the cell id,
+   resolves omitted fields to the architecture's defaults, and reaches
+   the optimiser (alpha 0 seeks no alignments) and the router *)
+let test_matrix_params () =
+  let m =
+    match
+      Io.Manifest.parse
+        {|{ "schema": "vm1dp-bench-manifest/1", "name": "p",
+            "designs": [ { "id": "m0", "generate": "m0" } ],
+            "archs": ["closedm1"], "utils": [0.75], "scales": [64],
+            "params": [ { "id": "paper" },
+                        { "id": "a0", "alpha": 0, "sequence": [[10, 2, 0]] },
+                        { "id": "l3", "router_layers": 3 } ] }|}
+    with
+    | Ok m -> m
+    | Error msg -> Alcotest.fail msg
+  in
+  let r =
+    match Report.Matrix.run m with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  let cell id =
+    match
+      List.find_opt
+        (fun (c : Report.Matrix.cell) ->
+          c.Report.Matrix.cell_id = "m0/closedm1/u0.75/s64/" ^ id)
+        r.Report.Matrix.cells
+    with
+    | Some c -> c
+    | None -> Alcotest.failf "no cell for params %s" id
+  in
+  let resolved id =
+    match (cell id).Report.Matrix.params with
+    | Some q -> q
+    | None -> Alcotest.failf "%s: no params" id
+  in
+  Alcotest.(check int) "one cell per params set" 3 (List.length r.Report.Matrix.cells);
+  let paper = resolved "paper" and a0 = resolved "a0" and l3 = resolved "l3" in
+  checkf "default alpha" 1200.0 paper.Report.Matrix.alpha;
+  checkb "default sequence" true
+    (paper.Report.Matrix.sequence = Vm1.Params.default_sequence);
+  Alcotest.(check int) "default layers" 6 paper.Report.Matrix.router_layers;
+  checkf "alpha 0" 0.0 a0.Report.Matrix.alpha;
+  checkb "given sequence" true
+    (a0.Report.Matrix.sequence = [ { Vm1.Params.bw_um = 10.0; lx = 2; ly = 0 } ]);
+  Alcotest.(check int) "given layers" 3 l3.Report.Matrix.router_layers;
+  let dm1 id = (cell id).Report.Matrix.final.Report.Flow.dm1 in
+  checkb "alpha 0 finds fewer dM1" true (dm1 "a0" < dm1 "paper");
+  checkb "3 layers route differently" true
+    ((cell "l3").Report.Matrix.init <> (cell "paper").Report.Matrix.init);
+  checkb "runtime measured" true
+    (List.for_all
+       (fun (c : Report.Matrix.cell) -> c.Report.Matrix.opt_runtime_s >= 0.0)
+       r.Report.Matrix.cells);
+  checkb "runtime rendered" true (contains (Report.Matrix.render r) "opt s");
+  let json = Obs.Json.to_string (Report.Matrix.to_json r) in
+  checkb "params in the report" true (contains json {|"params":{"id":"l3"|});
+  checkb "runtime not in the report" false (contains json "runtime")
+
+let test_table2_render () =
+  let p = Report.Flow.prepare ~scale:64 Netlist.Designs.M0 Pdk.Cell_arch.Closed_m1 in
+  let params = Vm1.Params.default p.Place.Placement.tech in
+  let e, _ = Report.Flow.evaluate params p in
+  let c =
+    {
+      Report.Flow.design_name = "m0";
+      instances = Place.Placement.num_instances p;
+      alpha = params.Vm1.Params.alpha;
+      init = e;
+      final = e;
+      opt_runtime_s = 0.0;
+    }
+  in
+  match String.split_on_char '\n' (Report.Expt.Table2.render [ c ]) with
+  | header :: _ :: row :: _ ->
+    checkb "header" true (contains header "dM1:i" && contains header "rt(s)");
+    checkb "design row" true (contains row "m0")
+  | _ -> Alcotest.fail "expected header, separator and a row"
+
 let () =
   Alcotest.run "report"
     [
       ( "table",
         [
           Alcotest.test_case "render alignment" `Quick test_render_alignment;
-          Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
           Alcotest.test_case "number formats" `Quick test_number_formats;
         ] );
       ( "flow",
@@ -175,7 +255,10 @@ let () =
           Alcotest.test_case "delta pct" `Quick test_delta_pct;
           Alcotest.test_case "prepare legal" `Quick test_prepare_legal;
           Alcotest.test_case "evaluate clock" `Quick test_evaluate_consistent_clock;
+          Alcotest.test_case "table2 render" `Quick test_table2_render;
         ] );
+      ( "matrix",
+        [ Alcotest.test_case "params axis" `Quick test_matrix_params ] );
       ( "svg",
         [
           Alcotest.test_case "placement svg" `Quick test_svg_placement_wellformed;

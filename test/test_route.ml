@@ -18,32 +18,32 @@ let placed_design ?(n = 250) ?(seed = 9) ?(utilization = 0.7) lib =
 (* --- Heap --- *)
 
 let test_heap_basic () =
-  let h = Route.Heap.create () in
-  checkb "empty" true (Route.Heap.is_empty h);
-  Route.Heap.push h ~prio:5 ~value:50;
-  Route.Heap.push h ~prio:1 ~value:10;
-  Route.Heap.push h ~prio:3 ~value:30;
-  check "size" 3 (Route.Heap.size h);
-  let p1, v1 = Route.Heap.pop h in
+  let h = Heap.create () in
+  checkb "empty" true (Heap.is_empty h);
+  Heap.push h ~prio:5 ~value:50;
+  Heap.push h ~prio:1 ~value:10;
+  Heap.push h ~prio:3 ~value:30;
+  check "size" 3 (Heap.size h);
+  let p1, v1 = Heap.pop h in
   check "first prio" 1 p1;
   check "first value" 10 v1;
-  let p2, _ = Route.Heap.pop h in
+  let p2, _ = Heap.pop h in
   check "second prio" 3 p2;
-  let p3, _ = Route.Heap.pop h in
+  let p3, _ = Heap.pop h in
   check "third prio" 5 p3;
-  checkb "empty again" true (Route.Heap.is_empty h);
+  checkb "empty again" true (Heap.is_empty h);
   Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty")
-    (fun () -> ignore (Route.Heap.pop h))
+    (fun () -> ignore (Heap.pop h))
 
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap pops in priority order" ~count:200
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 10000))
     (fun prios ->
-      let h = Route.Heap.create ~capacity:4 () in
-      List.iteri (fun i p -> Route.Heap.push h ~prio:p ~value:i) prios;
+      let h = Heap.create ~capacity:4 () in
+      List.iteri (fun i p -> Heap.push h ~prio:p ~value:i) prios;
       let out = ref [] in
-      while not (Route.Heap.is_empty h) do
-        out := fst (Route.Heap.pop h) :: !out
+      while not (Heap.is_empty h) do
+        out := fst (Heap.pop h) :: !out
       done;
       List.rev !out = List.sort Int.compare prios)
 
@@ -87,25 +87,25 @@ let prop_bqueue_matches_heap =
       list_size (int_range 1 300) (pair (int_range 0 2500) (int_range 0 3)))
     (fun ops ->
       let q = Route.Bqueue.create ~capacity:16 () in
-      let h = Route.Heap.create ~capacity:4 () in
+      let h = Heap.create ~capacity:4 () in
       let ok = ref true in
       List.iter
         (fun (prio, k) ->
           if k = 0 && not (Route.Bqueue.is_empty q) then begin
             ignore (Route.Bqueue.pop q);
-            if Route.Bqueue.last_prio q <> fst (Route.Heap.pop h) then
+            if Route.Bqueue.last_prio q <> fst (Heap.pop h) then
               ok := false
           end
           else begin
             Route.Bqueue.push q ~prio ~value:prio;
-            Route.Heap.push h ~prio ~value:prio
+            Heap.push h ~prio ~value:prio
           end)
         ops;
       while not (Route.Bqueue.is_empty q) do
         ignore (Route.Bqueue.pop q);
-        if Route.Bqueue.last_prio q <> fst (Route.Heap.pop h) then ok := false
+        if Route.Bqueue.last_prio q <> fst (Heap.pop h) then ok := false
       done;
-      !ok && Route.Heap.is_empty h)
+      !ok && Heap.is_empty h)
 
 (* --- Stampset --- *)
 

@@ -294,6 +294,7 @@ let test_schemas_roundtrip () =
       archs = [ Pdk.Cell_arch.Closed_m1 ];
       utils = [ 0.75 ];
       scales = [ 64 ];
+      params = [];
     }
   in
   Alcotest.(check bool) "bench-manifest emitter" true
