@@ -82,17 +82,31 @@ let job_log =
                cache outcomes, QoR digest, error class), flushed per \
                line. Enables observability." ~docv:"FILE")
 
+(* A client that hangs up (EPIPE or ECONNRESET surface as [Sys_error]
+   on the channel) ends its own stream: nothing more is read, the
+   in-flight jobs drain with their replies dropped, and the caller
+   moves on to the next connection. *)
 let serve_channel cache ~max_in_flight ~default_solver ~telemetry ic oc =
+  let hung_up = ref false in
   Serve.Daemon.serve
     ?max_in_flight
     ?default_solver
     ?telemetry
     cache
-    ~next_line:(fun () -> In_channel.input_line ic)
+    ~next_line:(fun () ->
+      if !hung_up then None
+      else
+        try In_channel.input_line ic
+        with Sys_error _ ->
+          hung_up := true;
+          None)
     ~emit:(fun line ->
-      Out_channel.output_string oc line;
-      Out_channel.output_char oc '\n';
-      Out_channel.flush oc)
+      if not !hung_up then
+        try
+          Out_channel.output_string oc line;
+          Out_channel.output_char oc '\n';
+          Out_channel.flush oc
+        with Sys_error _ -> hung_up := true)
     ()
 
 let add_stats (a : Serve.Daemon.stats) (b : Serve.Daemon.stats) =
@@ -119,8 +133,7 @@ let admin_loop telemetry path ~should_stop =
     | _ -> true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
   in
-  let serve_conn conn =
-    let oc = Unix.out_channel_of_descr conn in
+  let serve_conn conn oc =
     (* hand-rolled line reader: In_channel would buffer past the first
        line, and select cannot see a stdlib buffer — pipelined verbs
        would stall until the client hangs up *)
@@ -166,10 +179,16 @@ let admin_loop telemetry path ~should_stop =
         if readable sock then
           match Unix.accept sock with
           | conn, _ ->
+            (* close_out_noerr closes [conn] and drops any reply a
+               hung-up client left unflushed *)
+            let oc = Unix.out_channel_of_descr conn in
             Fun.protect
-              ~finally:(fun () ->
-                try Unix.close conn with Unix.Unix_error _ -> ())
-              (fun () -> try serve_conn conn with End_of_file -> ())
+              ~finally:(fun () -> close_out_noerr oc)
+              (fun () ->
+                try serve_conn conn oc with
+                | End_of_file | Sys_error _
+                | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+                  ())
           | exception Unix.Unix_error _ -> ()
       done)
 
@@ -196,8 +215,7 @@ let serve_socket cache ~max_in_flight ~default_solver ~telemetry ~accept_limit
         let oc = Unix.out_channel_of_descr conn in
         let stats =
           Fun.protect
-            ~finally:(fun () ->
-              try Unix.close conn with Unix.Unix_error _ -> ())
+            ~finally:(fun () -> close_out_noerr oc)
             (fun () ->
               serve_channel cache ~max_in_flight ~default_solver ~telemetry ic
                 oc)
@@ -209,6 +227,9 @@ let serve_socket cache ~max_in_flight ~default_solver ~telemetry ~accept_limit
 
 let run socket_path accept_limit jobs max_in_flight solver trace metrics
     admin_socket job_log =
+  (* a client that hangs up before reading its replies must end only its
+     own connection (see serve_channel), never the daemon *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if trace <> None || metrics || admin_socket <> None || job_log <> None then
     Obs.set_enabled true;
   (* windows feed the admin plane's "last 10s / 60s" views; without an

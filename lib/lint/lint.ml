@@ -122,12 +122,6 @@ let vetted =
         "the overflow-edge total is the one cell the region-sharded \
          routing pass shares between domains; concurrent tiles commit \
          to disjoint edges and nets but bump this one atomic counter" };
-    { v_rule = "domain-prims";
-      path_suffix = "bench/main.ml";
-      ident_prefix = "Domain.";
-      justification =
-        "the scaling benchmark reports Domain.recommended_domain_count \
-         to size its --jobs sweep; it never spawns" };
   ]
 
 (* --- path classification -------------------------------------------- *)

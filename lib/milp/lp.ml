@@ -24,10 +24,20 @@ let solve ?(iter_limit = 20_000) (p : problem) =
   let rows = Array.of_list p.rows in
   let m = Array.length rows in
   let n = p.ncols in
-  (* normalise to b >= 0 *)
+  (* equilibrate each row to a largest coefficient of 1, then normalise
+     to b >= 0. Without the scaling, big-M rows (coefficients ~1e6 next
+     to geometry of ~1e2) swamp the tableau's rounding error and the
+     simplex reports wrong optima and false infeasibility. *)
   let rows =
     Array.map
       (fun (a, rel, b) ->
+        let amax =
+          Array.fold_left (fun acc v -> Float.max acc (abs_float v)) 0.0 a
+        in
+        let a, b =
+          if amax > 0.0 then (Array.map (fun v -> v /. amax) a, b /. amax)
+          else (a, b)
+        in
         if b < 0.0 then
           let a' = Array.map (fun v -> -.v) a in
           let rel' = match rel with Le -> Ge | Ge -> Le | Eq -> Eq in
@@ -202,6 +212,22 @@ let solve ?(iter_limit = 20_000) (p : problem) =
   for r = 0 to m - 1 do
     if basis.(r) < n then values.(basis.(r)) <- t.(r).(width - 1)
   done;
+  (* a point that breaks its own rows is a numerical breakdown, not an
+     optimum: report it as such, so branch and bound neither prunes on
+     its value nor accepts it as an incumbent *)
+  let violated (a, rel, b) =
+    let lhs = ref 0.0 in
+    Array.iteri (fun j v -> if j < n then lhs := !lhs +. (v *. values.(j))) a;
+    let tol = 1e-6 *. (1.0 +. abs_float b) in
+    match rel with
+    | Le -> !lhs > b +. tol
+    | Ge -> !lhs < b -. tol
+    | Eq -> abs_float (!lhs -. b) > tol
+  in
+  if
+    !status = Optimal
+    && (Array.exists violated rows || Array.exists (fun v -> v < -1e-6) values)
+  then status := IterLimit;
   let objective_value =
     match !status with
     | Optimal ->

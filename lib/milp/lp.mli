@@ -2,6 +2,7 @@
 
       minimize c.x  subject to  A x (<= | = | >=) b,  x >= 0.
 
+    Rows are equilibrated (largest coefficient scaled to 1) first.
     Two-phase method (phase 1 minimises the artificial-variable sum, so
     no big-M constants pollute the reduced costs), largest-coefficient
     pivoting with a Bland's-rule fallback to guarantee termination.
@@ -17,6 +18,9 @@ type problem = {
   rows : (float array * relation * float) list;
 }
 
+(** [IterLimit] also covers numerical breakdown: the returned point
+    failed to satisfy the rows it was solved against. Its [values] are
+    then not trustworthy. *)
 type status = Optimal | Infeasible | Unbounded | IterLimit
 
 type solution = {

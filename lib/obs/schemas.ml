@@ -2,14 +2,10 @@ type id =
   | Trace
   | Lint
   | Lint_baseline
-  | Route_profile
-  | Bench_scaling
   | Trace_report
   | Jobs
-  | Bench_load
   | Bench_manifest
   | Expt_matrix
-  | Distopt_profile
   | Metrics
   | Health
   | Joblog
@@ -19,14 +15,10 @@ let all =
     Trace;
     Lint;
     Lint_baseline;
-    Route_profile;
-    Bench_scaling;
     Trace_report;
     Jobs;
-    Bench_load;
     Bench_manifest;
     Expt_matrix;
-    Distopt_profile;
     Metrics;
     Health;
     Joblog;
@@ -36,14 +28,10 @@ let to_string = function
   | Trace -> "vm1dp-trace/1"
   | Lint -> "vm1dp-lint/2"
   | Lint_baseline -> "vm1dp-lint-baseline/1"
-  | Route_profile -> "vm1dp-route-profile/1"
-  | Bench_scaling -> "vm1dp-bench-scaling/1"
   | Trace_report -> "vm1dp-trace-report/1"
   | Jobs -> "vm1dp-jobs/1"
-  | Bench_load -> "vm1dp-bench-load/1"
   | Bench_manifest -> "vm1dp-bench-manifest/1"
   | Expt_matrix -> "vm1dp-expt-matrix/1"
-  | Distopt_profile -> "vm1dp-distopt-profile/1"
   | Metrics -> "vm1dp-metrics/1"
   | Health -> "vm1dp-health/1"
   | Joblog -> "vm1dp-joblog/1"
@@ -52,14 +40,10 @@ let of_string s = List.find_opt (fun id -> String.equal (to_string id) s) all
 let trace = to_string Trace
 let lint = to_string Lint
 let lint_baseline = to_string Lint_baseline
-let route_profile = to_string Route_profile
-let bench_scaling = to_string Bench_scaling
 let trace_report = to_string Trace_report
 let jobs = to_string Jobs
-let bench_load = to_string Bench_load
 let bench_manifest = to_string Bench_manifest
 let expt_matrix = to_string Expt_matrix
-let distopt_profile = to_string Distopt_profile
 let metrics = to_string Metrics
 let health = to_string Health
 let joblog = to_string Joblog

@@ -16,16 +16,11 @@ type id =
       (** [Lint.baseline_json]: the committed ratchet baseline
           ([lint_baseline.json]) of known-debt finding fingerprints;
           [@lint] fails only on findings not in it *)
-  | Route_profile  (** [bench route-profile]: router quality/profile *)
-  | Bench_scaling  (** [bench scaling]: per-stage wall-clock vs --jobs *)
   | Trace_report   (** [Trace.Profile.to_json]: aggregated trace profile *)
   | Jobs
       (** the [vm1d] batch-service wire format: both the job requests a
           client sends and the replies the daemon streams back (one JSON
           object per line; full spec in PROTOCOL.md) *)
-  | Bench_load
-      (** [bench load]: daemon throughput/latency under N concurrent
-          clients (the committed BENCH_vm1d.json) *)
   | Bench_manifest
       (** [Io.Manifest]: a benchmark manifest naming designs (generator
           specs or external DEF/LEF paths) and the arch/util/scale axes
@@ -33,10 +28,6 @@ type id =
   | Expt_matrix
       (** [expt matrix]: the per-cell QoR report swept from a benchmark
           manifest (the committed test/matrix_golden.json) *)
-  | Distopt_profile
-      (** [bench distopt-profile]: window-solver profile — per-window
-          solve-time percentiles, memo-cache hit rate, portfolio win
-          counts (the committed bench/distopt_profile_baseline.json) *)
   | Metrics
       (** [Serve.Telemetry]: the admin-plane [metrics] reply —
           cumulative + windowed metric views with latency percentiles
@@ -63,14 +54,10 @@ val of_string : string -> id option
 val trace : string
 val lint : string
 val lint_baseline : string
-val route_profile : string
-val bench_scaling : string
 val trace_report : string
 val jobs : string
-val bench_load : string
 val bench_manifest : string
 val expt_matrix : string
-val distopt_profile : string
 val metrics : string
 val health : string
 val joblog : string

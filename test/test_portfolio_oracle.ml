@@ -11,7 +11,13 @@
 
    Windows come from small m0 (ClosedM1) and aes (OpenM1) placements,
    with move and flip candidates, vertical moves, and states both fresh
-   and after earlier moves. *)
+   and after earlier moves.
+
+   A last case pins the whole-placement profile of the portfolio on
+   jpeg at scale 4 (ClosedM1): a cold DistOpt pass that fills a window
+   cache and a warm pass that replays from it. Its windows, batches,
+   moves, HPWL, alignments, win counts and cache hits are deterministic,
+   so any drift is a behaviour change. *)
 
 module W = Vm1.Wproblem
 module S = Vm1.Scp_solver
@@ -287,6 +293,66 @@ let prop_shove_plan_matches_full_scan =
         t.cells;
       !ok)
 
+(* --- the pinned jpeg/4 profile --- *)
+
+let test_jpeg4_profile () =
+  let p0 =
+    Report.Flow.prepare ~scale:4 Netlist.Designs.Jpeg Pdk.Cell_arch.Closed_m1
+  in
+  let params = Vm1.Params.default p0.Place.Placement.tech in
+  let cache = Vm1.Wcache.create () in
+  let cfg =
+    {
+      Vm1.Dist_opt.tx = 0;
+      ty = 0;
+      bw = 40;
+      bh = 6;
+      lx = 3;
+      ly = 1;
+      allow_flip = false;
+      allow_move = true;
+      mode = `Portfolio;
+      parallel = false;
+      candidate_cost = None;
+      wcache = Some cache;
+    }
+  in
+  let wins_before =
+    List.map (fun (n, c) -> (n, Obs.Counter.value c)) win_counters
+  in
+  Obs.set_enabled true;
+  let q_cold = Place.Placement.copy p0 and q_warm = Place.Placement.copy p0 in
+  let cold, warm =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        let cold = Vm1.Dist_opt.run q_cold params cfg in
+        (cold, Vm1.Dist_opt.run q_warm params cfg))
+  in
+  let obj = Vm1.Objective.counts params q_cold in
+  let hits, misses = Vm1.Wcache.stats cache in
+  let wins =
+    List.map
+      (fun (n, c) -> (n, Obs.Counter.value c - List.assoc n wins_before))
+      win_counters
+  in
+  let check = Alcotest.(check int) in
+  check "windows" 309 cold.windows;
+  check "batches" 19 cold.batches;
+  check "moves" 8082 cold.total_moves;
+  check "hpwl_dbu" 35688420 obj.hpwl_dbu;
+  check "alignments" 838 obj.alignments;
+  Alcotest.(check (list (pair string int)))
+    "portfolio wins"
+    [ ("exact", 14); ("greedy", 228); ("anneal", 67) ]
+    wins;
+  check "wcache hits" 309 hits;
+  check "wcache misses" 309 misses;
+  Alcotest.(check bool) "warm stats = cold stats" true (warm = cold);
+  Alcotest.(check bool) "warm placement = cold placement" true
+    (q_warm.xs = q_cold.xs && q_warm.ys = q_cold.ys
+    && q_warm.orients = q_cold.orients)
+
 let () =
   Alcotest.run "portfolio_oracle"
     [
@@ -296,4 +362,9 @@ let () =
             prop_portfolio_matches_reference;
             prop_shove_plan_matches_full_scan;
           ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "jpeg/4 portfolio profile" `Quick
+            test_jpeg4_profile;
+        ] );
     ]

@@ -154,16 +154,32 @@ let artifacts = function
   | Serve.Protocol.Ok o -> o.artifacts
   | Serve.Protocol.Err e -> Alcotest.fail e.Serve.Protocol.message
 
+(* A fresh cache per pool size: every cold (miss) and warm (hit) run,
+   at every --jobs, must give the bytes of the first cold run. *)
 let test_cold_warm_identical () =
-  let cache = Serve.Cache.create () in
-  let cold = Serve.Engine.run cache (job "c") in
-  let warm = Serve.Engine.run cache (job "c") in
-  checkb "cold run misses" true (List.for_all (fun (_, h) -> not h) (artifacts cold));
-  checkb "warm run hits" true (List.for_all snd (artifacts warm));
-  checks "byte-identical results" (result_bytes cold) (result_bytes warm);
-  (* and a fresh cache reproduces the same bytes again *)
-  let cold2 = Serve.Engine.run (Serve.Cache.create ()) (job "c") in
-  checks "reproducible across caches" (result_bytes cold) (result_bytes cold2)
+  let jobs0 = Exec.jobs () in
+  let reference = ref None in
+  let same_bytes what reply =
+    let b = result_bytes reply in
+    match !reference with
+    | None -> reference := Some b
+    | Some want -> checks what want b
+  in
+  Fun.protect
+    ~finally:(fun () -> Exec.set_jobs jobs0)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Exec.set_jobs jobs;
+          let cache = Serve.Cache.create () in
+          let cold = Serve.Engine.run cache (job "c") in
+          let warm = Serve.Engine.run cache (job "c") in
+          checkb "cold run misses" true
+            (List.for_all (fun (_, h) -> not h) (artifacts cold));
+          checkb "warm run hits" true (List.for_all snd (artifacts warm));
+          same_bytes (Printf.sprintf "cold bytes at jobs=%d" jobs) cold;
+          same_bytes (Printf.sprintf "warm bytes at jobs=%d" jobs) warm)
+        [ 1; 2; 4 ])
 
 let test_cache_stats_count () =
   let cache = Serve.Cache.create () in

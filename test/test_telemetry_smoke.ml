@@ -10,10 +10,13 @@
      every document's ["schema"] tag must round-trip through
      [Obs.Schemas.of_string], and the metrics/health payloads must be
      coherent (ready, at least one job counted);
-   - a plain run with no admin plane at all.
+   - a plain run with no admin plane at all;
+   - a run whose first client sends the stream five times and hangs up
+     without reading a reply; the daemon must keep serving the second
+     client and exit 0.
 
    The ["result"] member of every reply must be byte-identical across
-   the two runs — the scrape-does-not-perturb contract of
+   the runs — the scrape-does-not-perturb contract of
    ARCHITECTURE.md, checked here across real processes and sockets.
 
    Finally the job log written by the instrumented run is compared
@@ -182,6 +185,40 @@ let run_plain vm1d jobs ~spath =
   reap pid "plain vm1d";
   replies
 
+(* The first connection writes the stream five times and closes without
+   reading, so the daemon's replies hit a closed socket (EPIPE); that
+   must end only that connection. The second is served like [run_plain]. *)
+let run_hangup vm1d jobs ~spath =
+  let pid =
+    spawn_daemon vm1d
+      [
+        "--socket"; spath; "--accept-limit"; "2"; "--jobs"; "2";
+        "--max-in-flight"; "1";
+      ]
+  in
+  (* ignored only after the spawn, which would pass it on to the daemon:
+     a daemon that dies must fail this run with a message, not kill it *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  wait_for_socket spath;
+  let fd, _, oc = connect spath in
+  for _ = 1 to 5 do
+    List.iter (send oc) jobs
+  done;
+  Unix.close fd;
+  let replies =
+    try
+      let fd, ic, oc = connect spath in
+      List.iter (send oc) jobs;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let replies = List.map (fun _ -> input_line ic) jobs in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      replies
+    with End_of_file | Sys_error _ | Unix.Unix_error _ ->
+      die "telemetry-smoke: vm1d dropped the client after an early hang-up"
+  in
+  reap pid "vm1d after a client hang-up";
+  replies
+
 (* --- joblog golden --------------------------------------------------- *)
 
 let mask_wallclock line =
@@ -219,33 +256,38 @@ let () =
   let pid = Unix.getpid () in
   let spath = Filename.concat tmp (Printf.sprintf "vm1ts%d-s.sock" pid)
   and apath = Filename.concat tmp (Printf.sprintf "vm1ts%d-a.sock" pid)
-  and ppath = Filename.concat tmp (Printf.sprintf "vm1ts%d-p.sock" pid) in
+  and ppath = Filename.concat tmp (Printf.sprintf "vm1ts%d-p.sock" pid)
+  and hpath = Filename.concat tmp (Printf.sprintf "vm1ts%d-h.sock" pid) in
   let jlog = "telemetry_smoke_joblog.txt" in
   let cleanup () =
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ spath; apath; ppath ]
+      [ spath; apath; ppath; hpath ]
   in
   Fun.protect ~finally:cleanup (fun () ->
       let scraped = run_admin vm1d jobs ~spath ~apath ~jlog in
       let plain = run_plain vm1d jobs ~spath:ppath in
-      if List.length scraped <> List.length plain then
-        die "telemetry-smoke: %d replies with admin plane, %d without"
-          (List.length scraped) (List.length plain);
-      List.iteri
-        (fun i (a, b) ->
-          let what = Printf.sprintf "reply %d" (i + 1) in
-          let ra = result_member (what ^ " (scraped)") a
-          and rb = result_member (what ^ " (plain)") b in
-          if not (String.equal ra rb) then
-            die
-              "telemetry-smoke: %s result differs with the admin plane \
-               on:\n  with    %s\n  without %s"
-              what ra rb)
-        (List.combine scraped plain);
+      let hangup = run_hangup vm1d jobs ~spath:hpath in
+      List.iter
+        (fun (run, replies) ->
+          if List.length replies <> List.length plain then
+            die "telemetry-smoke: %d replies %s, %d plain"
+              (List.length replies) run (List.length plain);
+          List.iteri
+            (fun i (a, b) ->
+              let what = Printf.sprintf "reply %d" (i + 1) in
+              let ra = result_member (what ^ " " ^ run) a
+              and rb = result_member (what ^ " (plain)") b in
+              if not (String.equal ra rb) then
+                die
+                  "telemetry-smoke: %s result differs %s:\n  %s\n  plain %s"
+                  what run ra rb)
+            (List.combine replies plain))
+        [ ("with the admin plane", scraped); ("after a hang-up", hangup) ];
       check_joblog ~jlog ~golden;
       Printf.printf
-        "telemetry smoke OK: %d byte-identical replies, 3 admin verbs \
-         validated, %d job-log records match golden\n"
+        "telemetry smoke OK: %d byte-identical replies in three runs, 3 \
+         admin verbs validated, %d job-log records match golden, daemon \
+         survived a client hang-up\n"
         (List.length scraped)
         (List.length (read_lines jlog)))
