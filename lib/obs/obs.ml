@@ -262,10 +262,44 @@ end
 (* --- metrics --- *)
 
 module Counter = struct
-  (* Stripes indexed by domain id: concurrent bumps from different
-     domains land in different cells, so there is no write contention in
-     the common case; [value] merges the per-domain cells. *)
+  (* One stripe per live domain: concurrent bumps from different domains
+     land in different cells, so there is no write contention in the
+     common case; [value] merges the per-domain cells. *)
   let stripes = 64
+
+  (* Stripes are handed out lowest-free-first and returned when the
+     domain exits, so no two live domains share one while at most
+     [stripes] are alive. The window rings rely on that: they assume a
+     single writer per stripe. Indexing by [Domain.self] modulo
+     [stripes] broke it once a respawned pool's domain ids wrapped onto
+     a live domain's (the main domain's 0 and a worker's 64), losing
+     windowed updates. Beyond [stripes] live domains they share. *)
+  let stripe_mu = Mutex.create ()
+  let stripe_used = Array.make stripes false
+
+  let rec free_stripe i =
+    if i = stripes then None
+    else if stripe_used.(i) then free_stripe (i + 1)
+    else Some i
+
+  let release_stripe i () =
+    Mutex.lock stripe_mu;
+    stripe_used.(i) <- false;
+    Mutex.unlock stripe_mu
+
+  let stripe_key =
+    Domain.DLS.new_key (fun () ->
+        Mutex.lock stripe_mu;
+        let s = free_stripe 0 in
+        Option.iter (fun i -> stripe_used.(i) <- true) s;
+        Mutex.unlock stripe_mu;
+        match s with
+        | Some i ->
+          Domain.at_exit (release_stripe i);
+          i
+        | None -> (Domain.self () :> int) land (stripes - 1))
+
+  let stripe () = Domain.DLS.get stripe_key
 
   type t = { cells : int Atomic.t array; w : Wcore.wcounter }
 
@@ -275,7 +309,7 @@ module Counter = struct
 
   let add t n =
     if Atomic.get on then begin
-      let i = (Domain.self () :> int) land (stripes - 1) in
+      let i = stripe () in
       if Atomic.get Wcore.w_on then Wcore.c_record t.w i n;
       ignore (Atomic.fetch_and_add t.cells.(i) n)
     end
@@ -339,8 +373,7 @@ module Histogram = struct
         incr i
       done;
       if Atomic.get Wcore.w_on then begin
-        let stripe = (Domain.self () :> int) land (Counter.stripes - 1) in
-        Wcore.h_record t.w ~nb1:(nb + 1) stripe !i x
+        Wcore.h_record t.w ~nb1:(nb + 1) (Counter.stripe ()) !i x
       end;
       ignore (Atomic.fetch_and_add t.counts.(!i) 1);
       ignore (Atomic.fetch_and_add t.nobs 1);

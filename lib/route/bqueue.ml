@@ -1,17 +1,16 @@
 type t = {
-  mutable data : int array array;  (* data.(b): values queued at priority origin+b *)
-  mutable len : int array;         (* fill of each bucket *)
-  mutable head : int array;        (* next entry to pop; FIFO within a bucket *)
-  mutable words : int array;       (* occupancy bitmap, [bpw] buckets per word *)
-  mutable origin : int;            (* priority mapped to bucket 0 *)
-  mutable cursor : int;            (* no occupied bucket strictly below this index *)
-  mutable hi : int;                (* no occupied bucket strictly above this index *)
+  mutable pool : int array;  (* entry e: value at 2e, next entry of its bucket at 2e+1 *)
+  mutable npool : int;       (* entries handed out since clear *)
+  mutable ends : int array;  (* bucket b: head entry at 2b, tail at 2b+1;
+                                meaningful only while b's bitmap bit is set *)
+  mutable words : int array; (* occupancy bitmap, [bpw] buckets per word *)
+  mutable origin : int;      (* priority mapped to bucket 0 *)
+  mutable cursor : int;      (* no occupied bucket strictly below this index *)
+  mutable hi : int;          (* no occupied bucket strictly above this index *)
   mutable size : int;
-  mutable touched : int array;     (* buckets that went 0 -> nonempty since clear *)
-  mutable ntouched : int;
-  mutable seeded : bool;           (* [origin] is valid *)
+  mutable seeded : bool;     (* [origin] is valid *)
   mutable npush : int;
-  mutable last : int;              (* priority of the last popped entry *)
+  mutable last : int;        (* priority of the last popped entry *)
 }
 
 let bpw = 63
@@ -40,16 +39,14 @@ let origin_slack = 128
 let create ?(capacity = 1024) () =
   let cap = max 64 capacity in
   {
-    data = Array.make cap [||];
-    len = Array.make cap 0;
-    head = Array.make cap 0;
+    pool = Array.make (2 * cap) 0;
+    npool = 0;
+    ends = Array.make (2 * cap) 0;
     words = Array.make ((cap + bpw - 1) / bpw) 0;
     origin = 0;
     cursor = 0;
     hi = 0;
     size = 0;
-    touched = Array.make 64 0;
-    ntouched = 0;
     seeded = false;
     npush = 0;
     last = 0;
@@ -60,46 +57,38 @@ let size t = t.size
 let pushes t = t.npush
 let last_prio t = t.last
 
-let note_touched t b =
-  if t.ntouched = Array.length t.touched then
-    begin
-      let a = Array.make (2 * t.ntouched) 0 in
-      Array.blit t.touched 0 a 0 t.ntouched;
-      t.touched <- a
-    end [@vm1.cold];
-  t.touched.(t.ntouched) <- b;
-  t.ntouched <- t.ntouched + 1
+let occupied words b = words.(b / bpw) land (1 lsl (b mod bpw)) <> 0
 
 (* Reallocate so at least [nbuckets] bucket slots exist, shifting every
    live bucket up by [shift] slots (used to lower [origin]). [nbuckets]
    must be derived from [t.hi], the top of the occupied span — never
    from the current capacity, which would compound geometrically across
-   calls. *)
+   calls. Entries stay where they are in the pool; only the bucket ends
+   and the bitmap move. *)
 let[@vm1.cold] realloc t ~nbuckets ~shift =
-  let cap = ref (Array.length t.len) in
+  let old = Array.length t.ends / 2 in
+  let cap = ref old in
   while !cap < nbuckets do cap := !cap * 2 done;
-  let data = Array.make !cap [||]
-  and len = Array.make !cap 0
-  and head = Array.make !cap 0 in
-  let live = min (Array.length t.data) (!cap - shift) in
-  Array.blit t.data 0 data shift live;
-  Array.blit t.len 0 len shift live;
-  Array.blit t.head 0 head shift live;
+  let ends = Array.make (2 * !cap) 0 in
+  let live = min old (!cap - shift) in
+  Array.blit t.ends 0 ends (2 * shift) (2 * live);
   let words = Array.make ((!cap + bpw - 1) / bpw) 0 in
-  for b = 0 to !cap - 1 do
-    if len.(b) > head.(b) then
-      words.(b / bpw) <- words.(b / bpw) lor (1 lsl (b mod bpw))
+  for b = 0 to live - 1 do
+    if occupied t.words b then begin
+      let b' = b + shift in
+      words.(b' / bpw) <- words.(b' / bpw) lor (1 lsl (b' mod bpw))
+    end
   done;
-  for k = 0 to t.ntouched - 1 do
-    t.touched.(k) <- t.touched.(k) + shift
-  done;
-  t.data <- data;
-  t.len <- len;
-  t.head <- head;
+  t.ends <- ends;
   t.words <- words;
   t.origin <- t.origin - shift;
   t.cursor <- t.cursor + shift;
   t.hi <- t.hi + shift
+
+let[@vm1.cold] grow_pool t =
+  let pool = Array.make (2 * Array.length t.pool) 0 in
+  Array.blit t.pool 0 pool 0 (2 * t.npool);
+  t.pool <- pool
 
 let[@vm1.hot] prepare t ~origin =
   if not t.seeded then begin
@@ -121,25 +110,21 @@ let[@vm1.hot] push t ~prio ~value =
       ~nbuckets:(t.hi + 1 + (t.origin - prio) + 64)
       ~shift:(t.origin - prio + 64);
   let b = prio - t.origin in
-  if b >= Array.length t.len then realloc t ~nbuckets:(b + 1) ~shift:0;
-  let l = t.len.(b) in
-  let bucket = t.data.(b) in
-  let bucket =
-    if l < Array.length bucket then bucket
-    else
-      begin
-        let nb = Array.make (max 4 (2 * l)) 0 in
-        Array.blit bucket 0 nb 0 l;
-        t.data.(b) <- nb;
-        nb
-      end [@vm1.cold]
-  in
-  bucket.(l) <- value;
-  t.len.(b) <- l + 1;
-  if l = 0 then begin
-    t.words.(b / bpw) <- t.words.(b / bpw) lor (1 lsl (b mod bpw));
-    note_touched t b
-  end;
+  if 2 * b >= Array.length t.ends then realloc t ~nbuckets:(b + 1) ~shift:0;
+  let e = t.npool in
+  if 2 * e >= Array.length t.pool then grow_pool t;
+  let pool = t.pool in
+  pool.(2 * e) <- value;
+  t.npool <- e + 1;
+  (* append at the bucket's tail: ties pop FIFO *)
+  let w = b / bpw and bit = 1 lsl (b mod bpw) in
+  let occ = t.words.(w) in
+  if occ land bit = 0 then begin
+    t.words.(w) <- occ lor bit;
+    t.ends.(2 * b) <- e
+  end
+  else pool.((2 * t.ends.((2 * b) + 1)) + 1) <- e;
+  t.ends.((2 * b) + 1) <- e;
   if b < t.cursor then t.cursor <- b;
   if b > t.hi then t.hi <- b;
   t.size <- t.size + 1;
@@ -161,29 +146,27 @@ let[@vm1.hot] pop t =
       (t.words.(w0) land ((-1) lsl (t.cursor mod bpw)))
   in
   t.cursor <- b;
-  let w = b / bpw in
-  let low = 1 lsl (b mod bpw) in
-  let h = t.head.(b) in
-  let v = t.data.(b).(h) in
-  if h + 1 = t.len.(b) then begin
-    (* drained: reset so push's [l = 0] emptiness test stays valid *)
-    t.head.(b) <- 0;
-    t.len.(b) <- 0;
-    t.words.(w) <- t.words.(w) land lnot low
+  let e = t.ends.(2 * b) in
+  let v = t.pool.(2 * e) in
+  if e = t.ends.((2 * b) + 1) then begin
+    (* drained: the cleared bit is what marks the bucket empty *)
+    let w = b / bpw in
+    t.words.(w) <- t.words.(w) land lnot (1 lsl (b mod bpw))
   end
-  else t.head.(b) <- h + 1;
+  else t.ends.(2 * b) <- t.pool.((2 * e) + 1);
   t.size <- t.size - 1;
   t.last <- t.origin + b;
   v
 
+(* Every occupied bucket lies in [cursor, hi], so zeroing that span of
+   the bitmap empties the queue; bucket ends and pool entries are dead
+   once their bit is clear and need no reset. *)
 let[@vm1.hot] clear t =
-  for k = 0 to t.ntouched - 1 do
-    let b = t.touched.(k) in
-    t.len.(b) <- 0;
-    t.head.(b) <- 0;
-    t.words.(b / bpw) <- t.words.(b / bpw) land lnot (1 lsl (b mod bpw))
-  done;
-  t.ntouched <- 0;
+  if t.size > 0 then
+    for w = t.cursor / bpw to t.hi / bpw do
+      t.words.(w) <- 0
+    done;
+  t.npool <- 0;
   t.size <- 0;
   t.cursor <- 0;
   t.hi <- 0;

@@ -17,16 +17,23 @@
     FIFO order within a bucket, so equal-cost nodes expand in the order
     discovered — the stable ordering routing quality was tuned against.
 
-    Internals: a growable array of per-priority buckets indexed by
-    [prio - origin] ([origin] latches on the first push after a clear),
-    a one-bit-per-bucket occupancy bitmap so the pop scan skips 63 empty
-    buckets per word, and a touched-bucket list so [clear] is
-    proportional to the buckets used, not the priority range. *)
+    Internals: entries live in one pooled linked list — a single int
+    array of [(value, next)] pairs, handed out in push order and reset
+    wholesale by [clear] — and each bucket is a [(head, tail)] pair of
+    entry indices in a second int array indexed by [prio - origin]
+    ([origin] latches on the first push after a clear). A push appends
+    at its bucket's tail, a pop unlinks the head, so ties stay FIFO
+    without a per-bucket array to allocate, grow or chase. A
+    one-bit-per-bucket occupancy bitmap marks the non-empty buckets (a
+    clear bit is what makes a bucket's ends dead), lets the pop scan
+    skip 63 empty buckets per word, and is all [clear] resets: the
+    span between the cursor and the highest pushed bucket. *)
 
 type t
 
-(** [create ?capacity ()] allocates a queue with [capacity] initial
-    buckets (default 1024); the bucket range grows on demand. *)
+(** [create ?capacity ()] allocates a queue with room for [capacity]
+    buckets and [capacity] entries (default 1024); both grow on
+    demand. *)
 val create : ?capacity:int -> unit -> t
 
 val is_empty : t -> bool
@@ -58,6 +65,6 @@ val pop : t -> int
 (** Priority of the most recently popped entry (0 before any pop). *)
 val last_prio : t -> int
 
-(** [clear t] empties the queue in time proportional to the number of
-    buckets touched since the previous clear, keeping allocations. *)
+(** [clear t] empties the queue in time proportional to the bucket span
+    it occupied (one bitmap word per 63 buckets), keeping allocations. *)
 val clear : t -> unit

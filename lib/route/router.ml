@@ -79,17 +79,22 @@ type result = {
 
 (* --- search context with generation-stamped per-node state --- *)
 
+(* Per-node A* state is one interleaved record of four ints, so a relax
+   reads and writes one cache line instead of four arrays. *)
+let rec_dist = 0
+let rec_gen = 1
+let rec_parent = 2
+let rec_f = 3  (* f = dist + h at the node's latest push; lets the
+                  pop-acceptance test skip recomputing the heuristic *)
+
 type ctx = {
   g : Grid.t;
   cfg : config;
   mutable penalty : int;  (** congestion penalty, escalated per RRR pass *)
-  dist : int array;
-  gen : int array;
-  parent : int array;
-  tgen : int array;       (* generation-stamped target marks *)
-  fval : int array;       (* f = dist + h at the node's latest push;
-                             lets the pop-acceptance test avoid
-                             recomputing the heuristic *)
+  node : int array;       (* [4n + rec_*]: node [n]'s search record *)
+  tgen : int array;       (* generation-stamped target marks, one per M1
+                             node: pin access nodes are all on M1, whose
+                             node index is [j * nx + i] *)
   bq : Bqueue.t;          (* A* open list: dial bucket queue *)
   tree : Stampset.t;      (* the current net's already-connected nodes *)
   mutable generation : int;
@@ -97,25 +102,35 @@ type ctx = {
      allocates nothing: a ref is a one-word heap block per search *)
   mutable s_hmin : int;   (* min heuristic over the seed set *)
   mutable s_found : int;  (* target hit by the current search, or -1 *)
+  mutable s_bound : int;  (* smallest f at which a target is queued *)
 }
 
+(* Open-list entries carry the node's coordinates, packed
+   [(layer lsl 2c) lor (j lsl c) lor i] for [c = coord_bits], so a pop
+   decodes with shifts and masks instead of [mod] and [/]. *)
+let coord_bits = 21
+let coord_mask = (1 lsl coord_bits) - 1
+let pack l i j = (l lsl (2 * coord_bits)) lor (j lsl coord_bits) lor i
+
 let make_ctx g cfg =
+  if g.Grid.nx > coord_mask || g.Grid.ny > coord_mask then
+    invalid_arg "Router: grid too large for packed open-list entries";
   let n = Grid.node_count g in
   {
     g;
     cfg;
     penalty = cfg.overflow_penalty;
-    dist = Array.make n 0;
-    gen = Array.make n 0;
-    parent = Array.make n (-1);
-    tgen = Array.make n 0;
-    fval = Array.make n 0;
+    node = Array.make (4 * n) 0;
+    tgen = Array.make (g.Grid.nx * g.Grid.ny) 0;
     bq = Bqueue.create ~capacity:4096 ();
     tree = Stampset.create n;
     generation = 0;
     s_hmin = max_int;
     s_found = -1;
+    s_bound = max_int;
   }
+
+let is_target ctx ~tg n = n < Array.length ctx.tgen && ctx.tgen.(n) = tg
 
 (* When dM1 is disabled, forbid M1 wire edges that cross a placement-row
    boundary, confining M1 to intra-row jogs. [j] is the edge node's
@@ -136,6 +151,11 @@ let m1_edge_allowed ctx j =
    choice to open-list pop order. 1/[cost_scale] of a DBU per edge is
    far below any real cost difference, so non-ties are unaffected. *)
 let cost_scale = 8
+
+(* [Stdlib.max] is polymorphic: every call is a generic comparison. The
+   heuristic runs once per relax, so it uses this int-only form, which
+   compiles to a compare and a branch. *)
+let int_max (a : int) b = if a >= b then a else b
 
 (* [l] and [j] are the edge node's layer and track row, already decoded
    by the caller (the expansion loop decodes each popped node once and
@@ -166,7 +186,16 @@ let via_cost ctx n =
 
     Sources are seeded through the same generation stamp that relaxation
     uses, so the open list is seeded without duplicate nodes even when
-    the tree and the source pin's access set overlap. *)
+    the tree and the source pin's access set overlap.
+
+    Target-bound pruning: once a target is queued at f = [s_bound], a
+    relax with f >= [s_bound] is skipped and leaves the node's record
+    as it was. Ties pop FIFO, so such an entry could only pop after
+    that target, which ends the search; the records it would have
+    written differ only at f-values that never pop; and a node already
+    popped can only improve to an f below its popped one, hence below
+    the bound, so no popped node's parent changes. Pops, parents and
+    the found path are exactly those of the unpruned search. *)
 let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
   let g = ctx.g in
   let imin, imax, jmin, jmax = bbox in
@@ -176,6 +205,7 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
   let ci0, ci1, cj0, cj1 =
     match clamp with None -> (0, max_int, 0, max_int) | Some c -> c
   in
+  let node = ctx.node in
   let[@vm1.hot] run margin =
     let ilo = max (max 0 (imin - margin)) ci0
     and ihi = min (min (g.Grid.nx - 1) (imax + margin)) ci1 in
@@ -187,8 +217,8 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
        bounded amount of path optimality for much smaller search trees *)
     let hnum = cost_scale * g.Grid.pitch * ctx.cfg.astar_weight_pct in
     let h2 i j =
-      let dx = max 0 (max (ti_min - i) (i - ti_max)) in
-      let dy = max 0 (max (tj_min - j) (j - tj_max)) in
+      let dx = int_max 0 (int_max (ti_min - i) (i - ti_max)) in
+      let dy = int_max 0 (int_max (tj_min - j) (j - tj_max)) in
       (dx + dy) * hnum / 100
     in
     let h n = h2 (n mod nx) (n / nx mod ny) in
@@ -212,58 +242,70 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
     if ctx.s_hmin < max_int then
       Bqueue.prepare ctx.bq
         ~origin:((ctx.s_hmin * 100 / ctx.cfg.astar_weight_pct) - 64);
-    let relax ~from n vi vj cost =
-      let nd = ctx.dist.(from) + cost in
-      if ctx.gen.(n) <> gen2 || ctx.dist.(n) > nd then begin
-        ctx.gen.(n) <- gen2;
-        ctx.dist.(n) <- nd;
-        ctx.parent.(n) <- from;
+    ctx.s_bound <- max_int;
+    (* [n] is the neighbour at layer [l], track column [vi], track row
+       [vj], reached from the popped node [from] at distance [du] *)
+    let relax ~from ~du n l vi vj cost =
+      let nd = du + cost in
+      let k = 4 * n in
+      if node.(k + rec_gen) <> gen2 || node.(k + rec_dist) > nd then begin
         let f = nd + h2 vi vj in
-        ctx.fval.(n) <- f;
-        Bqueue.push ctx.bq ~prio:f ~value:n
+        if f < ctx.s_bound then begin
+          node.(k + rec_dist) <- nd;
+          node.(k + rec_gen) <- gen2;
+          node.(k + rec_parent) <- from;
+          node.(k + rec_f) <- f;
+          if l = 1 && ctx.tgen.(n) = tg then ctx.s_bound <- f;
+          Bqueue.push ctx.bq ~prio:f ~value:(pack l vi vj)
+        end
       end
     in
     let seed n =
-      if ctx.gen.(n) <> gen2 then begin
-        ctx.gen.(n) <- gen2;
-        ctx.dist.(n) <- 0;
-        ctx.parent.(n) <- -1;
-        let f = h n in
-        ctx.fval.(n) <- f;
-        Bqueue.push ctx.bq ~prio:f ~value:n
+      let k = 4 * n in
+      if node.(k + rec_gen) <> gen2 then begin
+        let i = n mod nx and j = n / nx mod ny in
+        let f = h2 i j in
+        node.(k + rec_dist) <- 0;
+        node.(k + rec_gen) <- gen2;
+        node.(k + rec_parent) <- -1;
+        node.(k + rec_f) <- f;
+        Bqueue.push ctx.bq ~prio:f ~value:(pack ((n / nxy) + 1) i j)
       end
     in
     Stampset.iter ctx.tree seed;
     Grid.pin_access_iter g src seed;
     ctx.s_found <- -1;
     while ctx.s_found < 0 && not (Bqueue.is_empty ctx.bq) do
-      let u = Bqueue.pop ctx.bq in
+      let v = Bqueue.pop ctx.bq in
       let d = Bqueue.last_prio ctx.bq in
-      (* [d <= fval.(u)] is the classic stale-entry test [d - h u <=
-         dist.(u)] with both sides shifted by [h u], saving the
-         heuristic recompute on every pop. *)
-      if ctx.gen.(u) = gen2 && d <= ctx.fval.(u) then begin
-        if ctx.tgen.(u) = tg then ctx.s_found <- u
+      (* The entry carries [u]'s coordinates. Every neighbour differs
+         from [u] by exactly one of them, so its coords — and the window
+         test on them — come for free. [u] itself may lie outside the
+         window (tree seeds do), so the test checks both neighbour
+         coordinates. *)
+      let i = v land coord_mask in
+      let j = (v lsr coord_bits) land coord_mask in
+      let l = v lsr (2 * coord_bits) in
+      let u = ((((l - 1) * ny) + j) * nx) + i in
+      let k = 4 * u in
+      (* [d <= f] is the classic stale-entry test [d - h u <= dist u]
+         with both sides shifted by [h u], saving the heuristic
+         recompute on every pop. *)
+      if node.(k + rec_gen) = gen2 && d <= node.(k + rec_f) then begin
+        if l = 1 && ctx.tgen.(u) = tg then ctx.s_found <- u
         else begin
-          (* Decode (i, j, layer) once; every neighbour differs from [u]
-             by exactly one coordinate, so its coords — and the window
-             test on them — come for free. [u] itself may lie outside
-             the window (tree seeds do), so the test checks both
-             neighbour coordinates. *)
-          let i = u mod nx in
-          let j = u / nx mod ny in
-          let l = (u / nxy) + 1 in
+          let du = node.(k + rec_dist) in
           if l land 1 = 1 then begin
             (* vertical layer: wire edges along j *)
             if j < ny - 1 && i >= ilo && i <= ihi && j + 1 >= jlo && j + 1 <= jhi
             then begin
               let c = wire_cost ctx ~net u l j in
-              if c >= 0 then relax ~from:u (u + nx) i (j + 1) c
+              if c >= 0 then relax ~from:u ~du (u + nx) l i (j + 1) c
             end;
             if j > 0 && i >= ilo && i <= ihi && j - 1 >= jlo && j - 1 <= jhi
             then begin
               let c = wire_cost ctx ~net (u - nx) l (j - 1) in
-              if c >= 0 then relax ~from:u (u - nx) i (j - 1) c
+              if c >= 0 then relax ~from:u ~du (u - nx) l i (j - 1) c
             end
           end
           else begin
@@ -271,18 +313,20 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
             if i < nx - 1 && i + 1 >= ilo && i + 1 <= ihi && j >= jlo && j <= jhi
             then begin
               let c = wire_cost ctx ~net u l j in
-              if c >= 0 then relax ~from:u (u + 1) (i + 1) j c
+              if c >= 0 then relax ~from:u ~du (u + 1) l (i + 1) j c
             end;
             if i > 0 && i - 1 >= ilo && i - 1 <= ihi && j >= jlo && j <= jhi
             then begin
               let c = wire_cost ctx ~net (u - 1) l j in
-              if c >= 0 then relax ~from:u (u - 1) (i - 1) j c
+              if c >= 0 then relax ~from:u ~du (u - 1) l (i - 1) j c
             end
           end;
           (* via up *)
-          if l < g.Grid.nl then relax ~from:u (u + nxy) i j (via_cost ctx u);
+          if l < g.Grid.nl then
+            relax ~from:u ~du (u + nxy) (l + 1) i j (via_cost ctx u);
           (* via down *)
-          if l > 1 then relax ~from:u (u - nxy) i j (via_cost ctx (u - nxy))
+          if l > 1 then
+            relax ~from:u ~du (u - nxy) (l - 1) i j (via_cost ctx (u - nxy))
         end
       end
     done;
@@ -305,16 +349,17 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
 let reconstruct ctx t =
   let g = ctx.g in
   let nxy = g.Grid.nx * g.Grid.ny in
+  let parent n = ctx.node.((4 * n) + rec_parent) in
   let len = ref 0 in
   let u = ref t in
-  while ctx.parent.(!u) >= 0 do
+  while parent !u >= 0 do
     incr len;
-    u := ctx.parent.(!u)
+    u := parent !u
   done;
   let path = Array.make !len 0 in
   let u = ref t and k = ref (!len - 1) in
-  while ctx.parent.(!u) >= 0 do
-    let p = ctx.parent.(!u) in
+  while parent !u >= 0 do
+    let p = parent !u in
     let code =
       if p + nxy = !u then via_code p
       else if !u + nxy = p then via_code !u
@@ -415,10 +460,10 @@ let route_subnet ?clamp ctx ~net subnet =
       ctx.tgen.(n) <- tg);
   (* trivial case: a source IS a target *)
   let direct = ref false in
-  Stampset.iter ctx.tree (fun n -> if ctx.tgen.(n) = tg then direct := true);
+  Stampset.iter ctx.tree (fun n -> if is_target ctx ~tg n then direct := true);
   if not !direct then
     Grid.pin_access_iter g subnet.src (fun n ->
-        if ctx.tgen.(n) = tg then direct := true);
+        if is_target ctx ~tg n then direct := true);
   if !direct then begin
     subnet.path <- [||];
     subnet.routed <- true;
@@ -464,7 +509,6 @@ let route ?(config = default_config) (p : Place.Placement.t) =
     Grid.of_placement ~layers:config.layers ~pdn_stripes:config.pdn_stripes
       ?skeleton:config.grid_skeleton p
   in
-  let ctx = make_ctx g config in
   let design = p.Place.Placement.design in
   let signal = Netlist.Design.signal_nets design in
   (* shorter nets first: they have fewer detour options *)
@@ -574,18 +618,23 @@ let route ?(config = default_config) (p : Place.Placement.t) =
     Array.of_list !acc
   in
   let n_local = Array.fold_left (fun a (_, ns) -> a + Array.length ns) 0 tile_jobs in
-  Obs.with_span "route.initial"
-    ~attrs:[ ("tiles", `Int (Array.length tile_jobs)); ("local_nets", `Int n_local) ]
-    (fun () ->
+  let ctx, pushes0 =
+    Obs.with_span "route.initial"
+      ~attrs:[ ("tiles", `Int (Array.length tile_jobs)); ("local_nets", `Int n_local) ]
+      (fun () ->
       (* Tiles are grouped into contiguous runs so each pool task
-         allocates one search context, not one per tile. The grouping
-         only affects scheduling: contexts are generation-stamped, so
-         reusing one across tiles cannot change any search result. *)
-      let deferred =
-        if Array.length tile_jobs = 0 then []
+         allocates one search context, not one per tile, and the
+         sequential and rip-up phases below reuse a finished group's
+         context: a route builds one context per group, so exactly one
+         at [--jobs 1]. The grouping only affects scheduling: contexts
+         are generation-stamped, so reusing one across tiles or phases
+         cannot change any search result. *)
+      let deferred, ctx =
+        if Array.length tile_jobs = 0 then ([], make_ctx g config)
         else begin
           let njobs = Array.length tile_jobs in
-          let ngroups = min njobs (max 1 (Exec.jobs () * 4)) in
+          let jobs = Exec.jobs () in
+          let ngroups = min njobs (if jobs = 1 then 1 else jobs * 4) in
           let groups =
             Array.init ngroups (fun gi ->
                 let lo = gi * njobs / ngroups and hi = (gi + 1) * njobs / ngroups in
@@ -625,17 +674,22 @@ let route ?(config = default_config) (p : Place.Placement.t) =
                   tiles;
                 Obs.Scopemon.clear_scope ();
                 Obs.Counter.add c_bq_pushes (Bqueue.pushes tctx.bq);
-                List.rev !dropped)
+                (List.rev !dropped, tctx))
               groups
           in
-          List.concat (Array.to_list per_group)
+          ( List.concat_map fst (Array.to_list per_group),
+            snd per_group.(0) )
         end
       in
       let seq = List.sort Int.compare (List.rev_append !seq_nets deferred) in
       Obs.Counter.add c_shard_nets (n_local - List.length deferred);
       Obs.Counter.add c_deferred_nets (List.length seq);
       Obs.add_attr "sequential_nets" (`Int (List.length seq));
-      List.iter (fun k -> route_net_full ctx routes.(k)) seq);
+      (* the reused context's pushes so far were counted by its group *)
+      let pushes0 = Bqueue.pushes ctx.bq in
+      List.iter (fun k -> route_net_full ctx routes.(k)) seq;
+      (ctx, pushes0))
+  in
   (* Rip-up and reroute nets crossing overflowed edges, with the
      congestion penalty escalating each pass. The overflow ledger makes
      the congestion test per net O(1) ([Grid.net_overflow]), so a pass
@@ -681,7 +735,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
       0 routes
   in
   Obs.Counter.add c_failed_subnets failed_final;
-  Obs.Counter.add c_bq_pushes (Bqueue.pushes ctx.bq);
+  Obs.Counter.add c_bq_pushes (Bqueue.pushes ctx.bq - pushes0);
   let overflow = Grid.overflow_count g in
   Obs.Gauge.set g_overflow (float_of_int overflow);
   if Obs.enabled () && total_subnets > 0 then

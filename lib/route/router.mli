@@ -96,7 +96,21 @@ type result = {
     generation-stamped {!Stampset}, and rip-up passes consult the
     grid's overflow ledger ([Grid.net_overflow]) instead of rescanning
     every stored path — a pass with no congested net is skipped in
-    O(nets).
+    O(nets). Each node's search state (distance, generation, parent,
+    f-value) is one interleaved four-int record, so a relax touches one
+    cache line; open-list entries carry the node's packed (layer, row,
+    column), so a pop decodes with shifts, not [mod] and [/]; and a
+    relax whose
+    f is at or above the smallest f at which a target is already
+    queued is skipped, which is exact because ties pop FIFO — every
+    route is byte-identical to the unpruned search.
+
+    Search contexts (the per-node records plus the open list, about
+    [40 * Grid.node_count] bytes) are built one per tile group of the
+    initial pass, and the sequential and rip-up phases reuse a finished
+    group's: one context per route at [--jobs 1]. None outlives the
+    call, so a long-running caller holds no grid-sized scratch between
+    routes.
 
     Emits observability when [Obs.enabled]: a [route] span with nested
     [route.initial] and per-pass [route.ripup] spans, the

@@ -79,33 +79,75 @@ let test_bqueue_basic () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Bqueue.pop: empty")
     (fun () -> ignore (Route.Bqueue.pop q))
 
-(* under any interleaving of pushes and pops, the bucket queue returns
-   the same priority sequence as the binary heap (the reference) *)
+(* Under any interleaving of pushes, pops and clears, the bucket queue
+   pops exactly what a stable (priority, push sequence) order pops: the
+   minimum priority first and, among equal priorities, the earliest push
+   (FIFO) — the tie order routing byte-identity depends on. The
+   reference is the binary heap keyed by [prio * seq_span + seq]. Each
+   push carries a distinct sequence number as its value. The generated
+   streams cover clears mid-stream followed by reuse, pushes below the
+   latched origin (priorities are uniform, so later pushes often land
+   far below the first) and more live entries than the initial pool. *)
+type bq_op = Push of int | Pop | Clear
+
+let seq_span = 1 lsl 20
+
 let prop_bqueue_matches_heap =
   QCheck2.Test.make ~name:"bucket queue priorities match heap" ~count:300
     QCheck2.Gen.(
-      list_size (int_range 1 300) (pair (int_range 0 2500) (int_range 0 3)))
+      list_size (int_range 1 400)
+        (frequency
+           [
+             (12, map (fun p -> Push p) (int_range 0 2500));
+             (5, pure Pop);
+             (1, pure Clear);
+           ]))
     (fun ops ->
       let q = Route.Bqueue.create ~capacity:16 () in
       let h = Heap.create ~capacity:4 () in
-      let ok = ref true in
+      let seq = ref 0 and ok = ref true in
+      let pop_matches () =
+        let v = Route.Bqueue.pop q in
+        let key, hv = Heap.pop h in
+        Route.Bqueue.last_prio q = key / seq_span && v = hv
+      in
       List.iter
-        (fun (prio, k) ->
-          if k = 0 && not (Route.Bqueue.is_empty q) then begin
-            ignore (Route.Bqueue.pop q);
-            if Route.Bqueue.last_prio q <> fst (Heap.pop h) then
-              ok := false
-          end
-          else begin
-            Route.Bqueue.push q ~prio ~value:prio;
-            Heap.push h ~prio ~value:prio
-          end)
+        (function
+          | Push prio ->
+            incr seq;
+            Route.Bqueue.push q ~prio ~value:!seq;
+            Heap.push h ~prio:((prio * seq_span) + !seq) ~value:!seq
+          | Pop ->
+            if not (Route.Bqueue.is_empty q) then
+              if not (pop_matches ()) then ok := false
+          | Clear ->
+            Route.Bqueue.clear q;
+            Heap.clear h)
         ops;
       while not (Route.Bqueue.is_empty q) do
-        ignore (Route.Bqueue.pop q);
-        if Route.Bqueue.last_prio q <> fst (Heap.pop h) then ok := false
+        if not (pop_matches ()) then ok := false
       done;
-      !ok && Heap.is_empty h)
+      !ok && Heap.is_empty h && Route.Bqueue.pushes q = !seq)
+
+(* the storage edge cases, pinned deterministically: far more live
+   entries than the initial pool, and a clear whose dropped entries
+   must not resurface when the queue is reused *)
+let test_bqueue_pool_growth_and_reuse () =
+  let q = Route.Bqueue.create ~capacity:16 () in
+  for k = 0 to 999 do
+    Route.Bqueue.push q ~prio:(k mod 7) ~value:k
+  done;
+  check "live entries" 1000 (Route.Bqueue.size q);
+  (* priority 0 holds k = 0, 7, 14, ...: FIFO across pool growth *)
+  check "first" 0 (Route.Bqueue.pop q);
+  check "second" 7 (Route.Bqueue.pop q);
+  Route.Bqueue.clear q;
+  checkb "cleared" true (Route.Bqueue.is_empty q);
+  Route.Bqueue.push q ~prio:3 ~value:42;
+  Route.Bqueue.push q ~prio:3 ~value:43;
+  check "no stale entry after clear" 42 (Route.Bqueue.pop q);
+  check "fifo after clear" 43 (Route.Bqueue.pop q);
+  checkb "drained" true (Route.Bqueue.is_empty q)
 
 (* --- Stampset --- *)
 
@@ -501,6 +543,102 @@ let test_overflow_ledger () =
         (Route.Grid.net_overflow g nr.Route.Router.net_id > 0))
     r.Route.Router.routes
 
+(* [route.bq_pushes] counts each route's pushes once: the sequential and
+   rip-up phases reuse a tile group's search context, so they must add
+   only the pushes made after the group reported its own. Two
+   back-to-back routes add identical increments (no context or count
+   carries over between routes), and the increment does not depend on
+   how many groups the tiles were split into ([--jobs] 1 builds one,
+   4 builds up to sixteen), which a double-counted reused context
+   would break. A small search margin and tile let several tiles route
+   nets in the sharded pass, so there are groups to split. *)
+let test_bq_pushes_per_route () =
+  let p = placed_design ~n:400 ~utilization:0.85 closed_lib in
+  let config =
+    {
+      Route.Router.default_config with
+      layers = 3;
+      search_margin = 2;
+      shard_tracks = 24;
+    }
+  in
+  let pushes = Obs.counter "route.bq_pushes" in
+  let shard_nets = Obs.counter "route.shard_nets" in
+  let was = Obs.enabled () and jobs = Exec.jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled was;
+      Exec.set_jobs jobs)
+    (fun () ->
+      Obs.set_enabled true;
+      let increment j =
+        Exec.set_jobs j;
+        let v0 = Obs.Counter.value pushes in
+        ignore (Route.Router.route ~config p);
+        Obs.Counter.value pushes - v0
+      in
+      let s0 = Obs.Counter.value shard_nets in
+      let a = increment 1 in
+      checkb "several nets routed in tiles" true
+        (Obs.Counter.value shard_nets - s0 >= 10);
+      let b = increment 1 in
+      let c = increment 4 in
+      checkb "pushes counted" true (a > 0);
+      check "back-to-back routes add the same" a b;
+      check "same at --jobs 4" a c)
+
+(* --- Route bytes golden ---
+
+   Pins the router's exact output on three m0/16 placements: the MD5 of
+   every net's id followed by each subnet's routed flag and packed path,
+   plus the failed-subnet count and the overflowed-edge count. The
+   constants were captured before the open-list and search-context
+   rework; any change to search order, tie-breaking or pruning that
+   alters a single routed edge changes the digest. *)
+
+let route_bytes_digest (r : Route.Router.result) =
+  let b = Buffer.create (1 lsl 16) in
+  let add_int v =
+    Buffer.add_string b (string_of_int v);
+    Buffer.add_char b ' '
+  in
+  Array.iter
+    (fun (nr : Route.Router.net_route) ->
+      add_int nr.net_id;
+      Array.iter
+        (fun (sn : Route.Router.subnet) ->
+          add_int (if sn.routed then 1 else 0);
+          add_int (Array.length sn.path);
+          Array.iter add_int sn.path)
+        nr.subnets;
+      Buffer.add_char b '\n')
+    r.routes;
+  add_int r.failed_subnets;
+  add_int (Route.Grid.overflow_count r.grid);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let route_golden_cases =
+  [
+    ("m0/16 ClosedM1 3 layers", Pdk.Cell_arch.Closed_m1, 3,
+     "8eccfbd1c90de9a2ad3ab36bb292ee00", 0, 182);
+    ("m0/16 OpenM1 3 layers", Pdk.Cell_arch.Open_m1, 3,
+     "a7c9c7fbc4f9f4d9f80c655951d54c2e", 0, 73);
+    ("m0/16 Conventional12", Pdk.Cell_arch.Conventional12, 6,
+     "9fa053af1846e0a8ad2478211d94bca9", 0, 0);
+  ]
+
+let test_route_bytes_golden (name, arch, layers, digest, failed, overflow) () =
+  let p =
+    Report.Flow.prepare ~scale:16 ~utilization:0.75 Netlist.Designs.M0 arch
+  in
+  let r =
+    Route.Router.route
+      ~config:{ Route.Router.default_config with layers } p
+  in
+  check (name ^ " failed subnets") failed r.failed_subnets;
+  check (name ^ " overflowed edges") overflow (Route.Grid.overflow_count r.grid);
+  Alcotest.(check string) (name ^ " route bytes") digest (route_bytes_digest r)
+
 let () =
   Alcotest.run "route"
     [
@@ -512,6 +650,8 @@ let () =
       ( "bqueue",
         [
           Alcotest.test_case "basic" `Quick test_bqueue_basic;
+          Alcotest.test_case "pool growth and reuse" `Quick
+            test_bqueue_pool_growth_and_reuse;
           QCheck_alcotest.to_alcotest prop_bqueue_matches_heap;
         ] );
       ( "stampset", [ Alcotest.test_case "basic" `Quick test_stampset ] );
@@ -537,7 +677,14 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_router_deterministic;
           Alcotest.test_case "openm1 routes" `Quick test_openm1_routes;
           Alcotest.test_case "overflow ledger" `Quick test_overflow_ledger;
+          Alcotest.test_case "bq_pushes per route" `Quick
+            test_bq_pushes_per_route;
         ] );
+      ( "route bytes",
+        List.map
+          (fun ((name, _, _, _, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_route_bytes_golden case))
+          route_golden_cases );
       ( "metrics",
         [
           Alcotest.test_case "consistency" `Quick test_metrics_consistency;
