@@ -40,8 +40,8 @@ let () =
   (* the MILP path *)
   let prob = extract () in
   Printf.printf "problem: %d nets, %d feasible dM1 pairs, %d candidates total\n"
-    (Array.length prob.Vm1.Wproblem.nets)
-    (Array.length prob.Vm1.Wproblem.pairs)
+    (Array.length prob.Vm1.Wproblem.net_weight)
+    (Vm1.Wproblem.num_pairs prob)
     (Array.fold_left
        (fun acc (c : Vm1.Wproblem.cell) -> acc + Array.length c.cands)
        0 prob.Vm1.Wproblem.cells);

@@ -33,21 +33,44 @@ let of_candidate (p : Place.Placement.t) pr ~site ~row ~orient =
   in
   of_bbox (Pdk.Stdcell.placed_pin_bbox m ~orient ~origin pin)
 
-let aligned (params : Params.t) (tech : Pdk.Tech.t) a b =
-  a.ax = b.ax
-  && a.y <> b.y
-  && abs (a.y - b.y) <= params.closed_gamma * tech.row_height
+(* The predicates on raw coordinates are the definitions; the record
+   forms below read their fields into them. The window solver's packed
+   tables hold coordinates, not records, and call these directly. *)
+let aligned_xy (params : Params.t) (tech : Pdk.Tech.t) ~ax1 ~y1 ~ax2 ~y2 =
+  ax1 = ax2
+  && y1 <> y2
+  && abs (y1 - y2) <= params.closed_gamma * tech.row_height
 
-let overlap (params : Params.t) (tech : Pdk.Tech.t) a b =
-  let ov = min a.x_hi b.x_hi - max a.x_lo b.x_lo in
-  if ov >= params.delta && abs (a.y - b.y) <= params.gamma * tech.row_height
-  then (true, ov - params.delta)
-  else (false, 0)
+let overlap_xy (params : Params.t) (tech : Pdk.Tech.t) ~lo1 ~hi1 ~y1 ~lo2 ~hi2
+    ~y2 =
+  let ov = (if hi1 < hi2 then hi1 else hi2) - if lo1 > lo2 then lo1 else lo2 in
+  if ov >= params.delta && abs (y1 - y2) <= params.gamma * tech.row_height
+  then ov - params.delta
+  else -1
 
-let pair_gain (params : Params.t) (tech : Pdk.Tech.t) a b =
+(* alpha d_pq + epsilon o_pq, from [overlap_xy]'s result *)
+let[@inline] open_gain (params : Params.t) o =
+  if o >= 0 then params.alpha +. (params.epsilon *. float_of_int o) else 0.0
+
+(* alpha d_pq *)
+let[@inline] closed_gain (params : Params.t) d = if d then params.alpha else 0.0
+
+let aligned params tech a b =
+  aligned_xy params tech ~ax1:a.ax ~y1:a.y ~ax2:b.ax ~y2:b.y
+
+let overlap params tech a b =
+  let o =
+    overlap_xy params tech ~lo1:a.x_lo ~hi1:a.x_hi ~y1:a.y ~lo2:b.x_lo
+      ~hi2:b.x_hi ~y2:b.y
+  in
+  if o >= 0 then (true, o) else (false, 0)
+
+let pair_gain params (tech : Pdk.Tech.t) a b =
   match tech.arch with
   | Pdk.Cell_arch.Open_m1 ->
-    let d, o = overlap params tech a b in
-    if d then params.alpha +. (params.epsilon *. float_of_int o) else 0.0
+    open_gain params
+      (overlap_xy params tech ~lo1:a.x_lo ~hi1:a.x_hi ~y1:a.y ~lo2:b.x_lo
+         ~hi2:b.x_hi ~y2:b.y)
   | Pdk.Cell_arch.Closed_m1 | Pdk.Cell_arch.Conventional12 ->
-    if aligned params tech a b then params.alpha else 0.0
+    closed_gain params
+      (aligned_xy params tech ~ax1:a.ax ~y1:a.y ~ax2:b.ax ~y2:b.y)

@@ -34,3 +34,26 @@ val overlap : Params.t -> Pdk.Tech.t -> pin_geom -> pin_geom -> bool * int
     [alpha * d_pq + epsilon * o_pq] using the architecture's own
     predicate. *)
 val pair_gain : Params.t -> Pdk.Tech.t -> pin_geom -> pin_geom -> float
+
+(** {2 On raw coordinates}
+
+    The same predicates on coordinates instead of records — the
+    definitions the record forms above delegate to, and what the window
+    solver's packed tables feed. *)
+
+(** [aligned_xy] is {!aligned} on the two pins' [ax] and [y]. *)
+val aligned_xy :
+  Params.t -> Pdk.Tech.t -> ax1:int -> y1:int -> ax2:int -> y2:int -> bool
+
+(** [overlap_xy] is [o_pq] when {!overlap}'s [d_pq] holds, and [-1] when
+    it does not. *)
+val overlap_xy :
+  Params.t -> Pdk.Tech.t ->
+  lo1:int -> hi1:int -> y1:int -> lo2:int -> hi2:int -> y2:int -> int
+
+(** [open_gain params o] is the OpenM1 credit [alpha * d_pq + epsilon *
+    o_pq] of a pair whose {!overlap_xy} is [o]. *)
+val open_gain : Params.t -> int -> float
+
+(** [closed_gain params d] is the ClosedM1 credit [alpha * d_pq]. *)
+val closed_gain : Params.t -> bool -> float

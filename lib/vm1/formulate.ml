@@ -5,23 +5,21 @@ type built = {
 
 let big_g = 1.0e6
 
-(* Linear expression for one geometric attribute of a pin: a constant for
-   fixed pins, sum over candidates of (attribute * lambda) for movable. *)
-let pin_expr (t : Wproblem.t) lambda (wp : Wproblem.wpin)
-    (attr : Align.pin_geom -> int) =
-  if wp.owner < 0 then Milp.Model.const (float_of_int (attr wp.fixed_geom))
+(* Linear expression for coordinate [f] (0 ax, 1 x_lo, 2 x_hi, 3 y) of
+   window pin [q], less [shift]: a constant for fixed pins, the sum over
+   candidates of (coordinate * lambda) for movable ones. *)
+let pin_expr (t : Wproblem.t) lambda q f shift =
+  let k = q * Wproblem.pin_stride in
+  let owner = t.pins.(k) in
+  if owner < 0 then Milp.Model.const (float_of_int (t.pins.(k + 2 + f) - shift))
   else begin
-    let cell = t.cells.(wp.owner) in
-    let terms =
-      Array.to_list
-        (Array.mapi
-           (fun k geoms ->
-             Milp.Model.term
-               (float_of_int (attr geoms.(wp.pr.Netlist.Design.pin)))
-               lambda.(wp.owner).(k))
-           cell.geoms)
-    in
-    Milp.Model.sum terms
+    let cell = t.cells.(owner) in
+    let at = t.pins.(k + 1) + f in
+    Milp.Model.sum
+      (List.init (Array.length cell.cands) (fun c ->
+           Milp.Model.term
+             (float_of_int (cell.xy.((c * cell.npins * 4) + at) - shift))
+             lambda.(owner).(c)))
   end
 
 (* The MILP is formulated in problem-relative coordinates: the minimum
@@ -31,21 +29,22 @@ let pin_expr (t : Wproblem.t) lambda (wp : Wproblem.wpin)
    simplex numerically comfortable next to the big-G indicator rows. *)
 let problem_origin (t : Wproblem.t) =
   let x0 = ref max_int and y0 = ref max_int in
-  let see (g : Align.pin_geom) =
-    if g.x_lo < !x0 then x0 := g.x_lo;
-    if g.y < !y0 then y0 := g.y
+  let see x_lo y =
+    if x_lo < !x0 then x0 := x_lo;
+    if y < !y0 then y0 := y
   in
-  Array.iter
-    (fun (wnet : Wproblem.wnet) ->
-      Array.iter
-        (fun (wp : Wproblem.wpin) ->
-          if wp.owner < 0 then see wp.fixed_geom
-          else
-            Array.iter
-              (fun geoms -> see geoms.(wp.pr.Netlist.Design.pin))
-              t.cells.(wp.owner).geoms)
-        wnet.wpins)
-    t.nets;
+  for q = 0 to (Array.length t.pins / Wproblem.pin_stride) - 1 do
+    let k = q * Wproblem.pin_stride in
+    let owner = t.pins.(k) in
+    if owner < 0 then see t.pins.(k + 3) t.pins.(k + 5)
+    else begin
+      let cell = t.cells.(owner) in
+      for c = 0 to Array.length cell.cands - 1 do
+        let o = (c * cell.npins * 4) + t.pins.(k + 1) in
+        see cell.xy.(o + 1) cell.xy.(o + 3)
+      done
+    end
+  done;
   if !x0 = max_int then (0, 0) else (!x0, !y0)
 
 let build (t : Wproblem.t) =
@@ -54,10 +53,6 @@ let build (t : Wproblem.t) =
   let tech = t.placement.Place.Placement.tech in
   let row_h = float_of_int tech.Pdk.Tech.row_height in
   let x0, y0 = problem_origin t in
-  let ax g = g.Align.ax - x0 in
-  let ay g = g.Align.y - y0 in
-  let x_lo g = g.Align.x_lo - x0 in
-  let x_hi g = g.Align.x_hi - x0 in
   (* lambda variables, constraint (5) *)
   let lambda =
     Array.mapi
@@ -66,6 +61,10 @@ let build (t : Wproblem.t) =
             Milp.Model.binary m (Printf.sprintf "l_%d_%d" c k)))
       t.cells
   in
+  let ax q = pin_expr t lambda q 0 x0 in
+  let x_lo q = pin_expr t lambda q 1 x0 in
+  let x_hi q = pin_expr t lambda q 2 x0 in
+  let ay q = pin_expr t lambda q 3 y0 in
   Array.iter
     (fun lams ->
       Milp.Model.add_eq m
@@ -99,20 +98,19 @@ let build (t : Wproblem.t) =
   (* per-net HPWL, constraints (2)-(3) *)
   let hpwl_terms = ref [] in
   Array.iteri
-    (fun nidx (wnet : Wproblem.wnet) ->
+    (fun nidx weight ->
       let xmin = Milp.Model.continuous m (Printf.sprintf "xmin_%d" nidx) in
       let xmax = Milp.Model.continuous m (Printf.sprintf "xmax_%d" nidx) in
       let ymin = Milp.Model.continuous m (Printf.sprintf "ymin_%d" nidx) in
       let ymax = Milp.Model.continuous m (Printf.sprintf "ymax_%d" nidx) in
-      Array.iter
-        (fun wp ->
-          let px = pin_expr t lambda wp ax in
-          let py = pin_expr t lambda wp ay in
-          Milp.Model.add_ge m (Milp.Model.v xmax) px;
-          Milp.Model.add_le m (Milp.Model.v xmin) px;
-          Milp.Model.add_ge m (Milp.Model.v ymax) py;
-          Milp.Model.add_le m (Milp.Model.v ymin) py)
-        wnet.wpins;
+      for q = t.net_start.(nidx) to t.net_start.(nidx + 1) - 1 do
+        let px = ax q in
+        let py = ay q in
+        Milp.Model.add_ge m (Milp.Model.v xmax) px;
+        Milp.Model.add_le m (Milp.Model.v xmin) px;
+        Milp.Model.add_ge m (Milp.Model.v ymax) py;
+        Milp.Model.add_le m (Milp.Model.v ymin) py
+      done;
       let w_n =
         Milp.Model.sum
           [
@@ -123,77 +121,77 @@ let build (t : Wproblem.t) =
           ]
       in
       hpwl_terms :=
-        Milp.Model.scale (params.Params.beta *. wnet.weight) w_n :: !hpwl_terms)
-    t.nets;
+        Milp.Model.scale (params.Params.beta *. weight) w_n :: !hpwl_terms)
+    t.net_weight;
   (* pair variables *)
   let gain_terms = ref [] in
-  Array.iteri
-    (fun pidx (a, b) ->
-      let d = Milp.Model.binary m (Printf.sprintf "d_%d" pidx) in
-      let one_minus_d =
-        Milp.Model.sub (Milp.Model.const 1.0) (Milp.Model.v d)
+  for pidx = 0 to Wproblem.num_pairs t - 1 do
+    let a = t.pair_pins.(2 * pidx) and b = t.pair_pins.((2 * pidx) + 1) in
+    let d = Milp.Model.binary m (Printf.sprintf "d_%d" pidx) in
+    let one_minus_d =
+      Milp.Model.sub (Milp.Model.const 1.0) (Milp.Model.v d)
+    in
+    let slack = Milp.Model.scale big_g one_minus_d in
+    let py_a = ay a in
+    let py_b = ay b in
+    let dy = Milp.Model.sub py_a py_b in
+    if not t.is_open then begin
+      (* ClosedM1, constraint (4) *)
+      let px_a = ax a in
+      let px_b = ax b in
+      let dx = Milp.Model.sub px_a px_b in
+      Milp.Model.add_le m dx slack;
+      Milp.Model.add_ge m dx (Milp.Model.scale (-1.0) slack);
+      let reach =
+        Milp.Model.const (float_of_int params.Params.closed_gamma *. row_h)
       in
-      let slack = Milp.Model.scale big_g one_minus_d in
-      let py_a = pin_expr t lambda a ay in
-      let py_b = pin_expr t lambda b ay in
-      let dy = Milp.Model.sub py_a py_b in
-      if not t.is_open then begin
-        (* ClosedM1, constraint (4) *)
-        let px_a = pin_expr t lambda a ax in
-        let px_b = pin_expr t lambda b ax in
-        let dx = Milp.Model.sub px_a px_b in
-        Milp.Model.add_le m dx slack;
-        Milp.Model.add_ge m dx (Milp.Model.scale (-1.0) slack);
-        let reach =
-          Milp.Model.const (float_of_int params.Params.closed_gamma *. row_h)
-        in
-        Milp.Model.add_le m dy (Milp.Model.add slack reach);
-        Milp.Model.add_ge m dy
-          (Milp.Model.scale (-1.0) (Milp.Model.add slack reach));
-        gain_terms := Milp.Model.term (-.params.Params.alpha) d :: !gain_terms
-      end
-      else begin
-        (* OpenM1, constraints (11)-(14) *)
-        let av = Milp.Model.continuous m (Printf.sprintf "a_%d" pidx) in
-        let bv = Milp.Model.continuous m (Printf.sprintf "b_%d" pidx) in
-        let o = Milp.Model.continuous m (Printf.sprintf "o_%d" pidx) in
-        let vpq = Milp.Model.binary m (Printf.sprintf "v_%d" pidx) in
-        let lo_a = pin_expr t lambda a x_lo in
-        let lo_b = pin_expr t lambda b x_lo in
-        let hi_a = pin_expr t lambda a x_hi in
-        let hi_b = pin_expr t lambda b x_hi in
-        Milp.Model.add_ge m (Milp.Model.v av) lo_a;
-        Milp.Model.add_ge m (Milp.Model.v av) lo_b;
-        Milp.Model.add_le m (Milp.Model.v bv) hi_a;
-        Milp.Model.add_le m (Milp.Model.v bv) hi_b;
-        (* (12): |dy| > gamma*H forces v = 1 *)
-        let g_v = Milp.Model.scale big_g (Milp.Model.v vpq) in
-        let reach =
-          Milp.Model.const (float_of_int params.Params.gamma *. row_h)
-        in
-        Milp.Model.add_le m dy (Milp.Model.add g_v reach);
-        Milp.Model.add_ge m dy
-          (Milp.Model.scale (-1.0) (Milp.Model.add g_v reach));
-        (* (13) *)
-        Milp.Model.add_le m (Milp.Model.v o)
-          (Milp.Model.add
-             (Milp.Model.sub (Milp.Model.sub (Milp.Model.v bv) (Milp.Model.v av))
-                (Milp.Model.const (float_of_int params.Params.delta)))
-             slack);
-        Milp.Model.add_le m (Milp.Model.v o)
-          (Milp.Model.scale big_g (Milp.Model.v d));
-        Milp.Model.add_ge m (Milp.Model.v o) (Milp.Model.scale (-1.0) slack);
-        (* (14) *)
-        Milp.Model.add_le m
-          (Milp.Model.add (Milp.Model.v d) (Milp.Model.v vpq))
-          (Milp.Model.const 1.0);
-        (* overlap must reach delta for d = 1: o >= 0 and o <= b-a-delta *)
-        gain_terms :=
-          Milp.Model.term (-.params.Params.alpha) d
-          :: Milp.Model.term (-.params.Params.epsilon) o
-          :: !gain_terms
-      end)
-    t.pairs;
+      Milp.Model.add_le m dy (Milp.Model.add slack reach);
+      Milp.Model.add_ge m dy
+        (Milp.Model.scale (-1.0) (Milp.Model.add slack reach));
+      gain_terms := Milp.Model.term (-.params.Params.alpha) d :: !gain_terms
+    end
+    else begin
+      (* OpenM1, constraints (11)-(14) *)
+      let av = Milp.Model.continuous m (Printf.sprintf "a_%d" pidx) in
+      let bv = Milp.Model.continuous m (Printf.sprintf "b_%d" pidx) in
+      let o = Milp.Model.continuous m (Printf.sprintf "o_%d" pidx) in
+      let vpq = Milp.Model.binary m (Printf.sprintf "v_%d" pidx) in
+      let lo_a = x_lo a in
+      let lo_b = x_lo b in
+      let hi_a = x_hi a in
+      let hi_b = x_hi b in
+      Milp.Model.add_ge m (Milp.Model.v av) lo_a;
+      Milp.Model.add_ge m (Milp.Model.v av) lo_b;
+      Milp.Model.add_le m (Milp.Model.v bv) hi_a;
+      Milp.Model.add_le m (Milp.Model.v bv) hi_b;
+      (* (12): |dy| > gamma*H forces v = 1 *)
+      let g_v = Milp.Model.scale big_g (Milp.Model.v vpq) in
+      let reach =
+        Milp.Model.const (float_of_int params.Params.gamma *. row_h)
+      in
+      Milp.Model.add_le m dy (Milp.Model.add g_v reach);
+      Milp.Model.add_ge m dy
+        (Milp.Model.scale (-1.0) (Milp.Model.add g_v reach));
+      (* (13) *)
+      Milp.Model.add_le m (Milp.Model.v o)
+        (Milp.Model.add
+           (Milp.Model.sub (Milp.Model.sub (Milp.Model.v bv) (Milp.Model.v av))
+              (Milp.Model.const (float_of_int params.Params.delta)))
+           slack);
+      Milp.Model.add_le m (Milp.Model.v o)
+        (Milp.Model.scale big_g (Milp.Model.v d));
+      Milp.Model.add_ge m (Milp.Model.v o) (Milp.Model.scale (-1.0) slack);
+      (* (14) *)
+      Milp.Model.add_le m
+        (Milp.Model.add (Milp.Model.v d) (Milp.Model.v vpq))
+        (Milp.Model.const 1.0);
+      (* overlap must reach delta for d = 1: o >= 0 and o <= b-a-delta *)
+      gain_terms :=
+        Milp.Model.term (-.params.Params.alpha) d
+        :: Milp.Model.term (-.params.Params.epsilon) o
+        :: !gain_terms
+    end
+  done;
   Milp.Model.set_objective m
     (Milp.Model.add (Milp.Model.sum !hpwl_terms) (Milp.Model.sum !gain_terms));
   { model = m; lambda }

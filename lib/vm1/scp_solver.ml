@@ -31,6 +31,42 @@ let exact_search_space (t : Wproblem.t) =
       if acc > exact_limit then acc else acc * k)
     1 t.cells
 
+(* [scan]'s result when the best action is the ripple plan it kept *)
+let plan_move = -2
+
+(* One cell's candidate scan, the inner loop of Algorithm 2: the best
+   strictly improving action for [cell] from candidate [cand] on, given
+   the best so far. A candidate index is a single move, [plan_move] the
+   ripple plan kept by [Wproblem.keep_plan], -1 no move. The cell's own
+   state is constant across the scan (plans tested via plan_delta are
+   reverted), so the cur-cost half of move_delta is hoisted out: same
+   floats, half the local_cost walks. *)
+let[@vm1.hot] rec scan (t : Wproblem.t) ~cell ~cur_cost ~cur_gain cand best
+    best_delta =
+  let c = t.cells.(cell) in
+  if cand = Array.length c.cands then best
+  else if cand = c.cur then
+    scan t ~cell ~cur_cost ~cur_gain (cand + 1) best best_delta
+  else if Wproblem.candidate_free t ~cell ~cand then begin
+    let d = Wproblem.local_cost t ~cell ~cand -. cur_cost in
+    if d < best_delta -. 1e-9 then
+      scan t ~cell ~cur_cost ~cur_gain (cand + 1) cand d
+    else scan t ~cell ~cur_cost ~cur_gain (cand + 1) best best_delta
+  end
+  else if
+    (* occupied: worth a ripple move only when it buys pair gain *)
+    Wproblem.cell_pair_gain_at t ~cell ~cand > cur_gain +. 1e-9
+    && Wproblem.shove_plan t ~cell ~cand
+  then begin
+    let d = Wproblem.plan_delta t in
+    if d < best_delta -. 1e-9 then begin
+      Wproblem.keep_plan t;
+      scan t ~cell ~cur_cost ~cur_gain (cand + 1) plan_move d
+    end
+    else scan t ~cell ~cur_cost ~cur_gain (cand + 1) best best_delta
+  end
+  else scan t ~cell ~cur_cost ~cur_gain (cand + 1) best best_delta
+
 let greedy ?(max_passes = 8) (t : Wproblem.t) =
   let before = Wproblem.objective t in
   let moves = ref 0 in
@@ -41,49 +77,19 @@ let greedy ?(max_passes = 8) (t : Wproblem.t) =
     improved := false;
     incr passes;
     for cell = 0 to n - 1 do
-      let c = t.cells.(cell) in
-      let cur_gain = Wproblem.cell_pair_gain_at t ~cell ~cand:c.cur in
-      (* the cell's own state is constant across its candidate scan
-         (plans tested via plan_delta are reverted), so the cur-cost half
-         of move_delta is hoisted out of the loop: same floats, half the
-         local_cost walks *)
-      let cur_cost = Wproblem.local_cost t ~cell ~cand:c.cur in
-      let best_action = ref None in
-      let best_delta = ref 0.0 in
-      for cand = 0 to Array.length c.cands - 1 do
-        if cand <> c.cur then begin
-          if Wproblem.candidate_free t ~cell ~cand then begin
-            let d = Wproblem.local_cost t ~cell ~cand -. cur_cost in
-            if d < !best_delta -. 1e-9 then begin
-              best_delta := d;
-              best_action := Some (`Move cand)
-            end
-          end
-          else if
-            (* occupied: worth a ripple move only when it buys pair gain *)
-            Wproblem.cell_pair_gain_at t ~cell ~cand > cur_gain +. 1e-9
-          then begin
-            match Wproblem.shove_plan t ~cell ~cand with
-            | Some plan ->
-              let d = Wproblem.plan_delta t plan in
-              if d < !best_delta -. 1e-9 then begin
-                best_delta := d;
-                best_action := Some (`Plan plan)
-              end
-            | None -> ()
-          end
-        end
-      done;
-      match !best_action with
-      | Some (`Move cand) ->
-        Wproblem.apply t ~cell ~cand;
+      let cand = t.cells.(cell).cur in
+      let cur_gain = Wproblem.cell_pair_gain_at t ~cell ~cand in
+      let cur_cost = Wproblem.local_cost t ~cell ~cand in
+      let best = scan t ~cell ~cur_cost ~cur_gain 0 (-1) 0.0 in
+      if best = plan_move then begin
+        moves := !moves + Wproblem.apply_kept_plan t;
+        improved := true
+      end
+      else if best >= 0 then begin
+        Wproblem.apply t ~cell ~cand:best;
         incr moves;
         improved := true
-      | Some (`Plan plan) ->
-        Wproblem.apply_plan t plan;
-        moves := !moves + List.length plan;
-        improved := true
-      | None -> ()
+      end
     done
   done;
   {
@@ -158,43 +164,56 @@ let exact (t : Wproblem.t) =
    the greedy run, continuing from the state it left and its stats
    [g_stats]; the portfolio shares that greedy run with its own greedy
    candidate. *)
+type anneal_state = {
+  mutable temp : float;
+  mutable current : float;  (* objective of the current assignment *)
+  mutable best_obj : float;
+}
+
+(* One Metropolis proposal: a random candidate of a random cell, accepted
+   when it improves or with probability exp(-delta/temp); [best] tracks
+   the best visited assignment. True when it moved a cell. *)
+let[@vm1.hot] propose (t : Wproblem.t) rng st best =
+  let n = Array.length t.cells in
+  let cell = Random.State.int rng n in
+  let c = t.cells.(cell) in
+  let k = Array.length c.cands in
+  let moved =
+    k > 1
+    &&
+    let cand = Random.State.int rng k in
+    cand <> c.cur
+    && Wproblem.candidate_free t ~cell ~cand
+    &&
+    let delta = Wproblem.move_delta t ~cell ~cand in
+    (delta < 0.0 || Random.State.float rng 1.0 < exp (-.delta /. st.temp))
+    && begin
+      Wproblem.apply t ~cell ~cand;
+      st.current <- st.current +. delta;
+      if st.current < st.best_obj -. 1e-9 then begin
+        st.best_obj <- st.current;
+        for i = 0 to n - 1 do
+          best.(i) <- t.cells.(i).cur
+        done
+      end;
+      true
+    end
+  in
+  st.temp <- st.temp *. 0.999;
+  moved
+
 let anneal_from_greedy ?max_passes (t : Wproblem.t) (g_stats : stats) =
   let n = Array.length t.cells in
   if n = 0 then g_stats
   else begin
-    let rng = Random.State.make [| n; Array.length t.pairs; 0xa11ea1 |] in
-    let best = Array.map (fun (c : Wproblem.cell) -> c.cur) t.cells in
-    let best_obj = ref (Wproblem.objective t) in
-    let current_obj = ref !best_obj in
-    let temp = ref 400.0 in
+    let rng = Random.State.make [| n; Wproblem.num_pairs t; 0xa11ea1 |] in
+    let best = Wproblem.assignment t in
+    let obj = Wproblem.objective t in
+    let st = { temp = 400.0; current = obj; best_obj = obj } in
     let iters = max 200 (40 * n) in
     let moves = ref 0 in
     for _ = 1 to iters do
-      let cell = Random.State.int rng n in
-      let c = t.cells.(cell) in
-      let k = Array.length c.cands in
-      if k > 1 then begin
-        let cand = Random.State.int rng k in
-        if cand <> c.cur && Wproblem.candidate_free t ~cell ~cand then begin
-          let delta = Wproblem.move_delta t ~cell ~cand in
-          let accept =
-            delta < 0.0
-            || Random.State.float rng 1.0 < exp (-.delta /. !temp)
-          in
-          if accept then begin
-            Wproblem.apply t ~cell ~cand;
-            incr moves;
-            current_obj := !current_obj +. delta;
-            if !current_obj < !best_obj -. 1e-9 then begin
-              best_obj := !current_obj;
-              Array.iteri
-                (fun i (c : Wproblem.cell) -> best.(i) <- c.cur)
-                t.cells
-            end
-          end
-        end
-      end;
-      temp := !temp *. 0.999
+      if propose t rng st best then incr moves
     done;
     Array.iteri (fun i cand -> Wproblem.apply t ~cell:i ~cand) best;
     let polish = greedy ?max_passes t in

@@ -132,12 +132,6 @@ let key ~mode (p : Wproblem.t) =
   let tech = p.Wproblem.placement.Place.Placement.tech in
   let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
   let x0 = p.Wproblem.site_lo * sw and y0 = p.Wproblem.row_lo * rh in
-  let add_geom (g : Align.pin_geom) =
-    add_int b (g.Align.ax - x0);
-    add_int b (g.Align.x_lo - x0);
-    add_int b (g.Align.x_hi - x0);
-    add_int b (g.Align.y - y0)
-  in
   (* The per-candidate geometry tables are a pure function of the master's
      local pin shapes, the tech pitches and the (serialized) candidate
      lattice — placed geometry is affine in the cell origin — so the
@@ -157,12 +151,20 @@ let key ~mode (p : Wproblem.t) =
           pin.Pdk.Stdcell.shapes)
       m.Pdk.Stdcell.pins
   in
-  let add_wpin (wp : Wproblem.wpin) =
-    add_int b wp.Wproblem.owner;
-    add_int b wp.Wproblem.pr.Netlist.Design.pin;
+  let pins = p.Wproblem.pins in
+  let add_pin q =
+    let k = q * Wproblem.pin_stride in
+    let owner = pins.(k) in
+    add_int b owner;
+    add_int b (pins.(k + 1) / 4);
     (* movable pins take their geometry from the candidate tables, which
        are serialized with the cells *)
-    if wp.Wproblem.owner < 0 then add_geom wp.Wproblem.fixed_geom
+    if owner < 0 then begin
+      add_int b (pins.(k + 2) - x0);
+      add_int b (pins.(k + 3) - x0);
+      add_int b (pins.(k + 4) - x0);
+      add_int b (pins.(k + 5) - y0)
+    end
   in
   Buffer.add_string b "wkey3";
   add_str b (Scp_solver.mode_to_string mode);
@@ -194,13 +196,17 @@ let key ~mode (p : Wproblem.t) =
         c.Wproblem.cands;
       Array.iter (add_float b) c.Wproblem.cand_cost)
     p.Wproblem.cells;
-  add_int b (Array.length p.Wproblem.nets);
-  Array.iter
-    (fun (wnet : Wproblem.wnet) ->
-      add_float b wnet.Wproblem.weight;
-      add_int b (Array.length wnet.Wproblem.wpins);
-      Array.iter add_wpin wnet.Wproblem.wpins)
-    p.Wproblem.nets;
+  add_int b (Array.length p.Wproblem.net_weight);
+  Array.iteri
+    (fun n weight ->
+      let first = p.Wproblem.net_start.(n)
+      and stop = p.Wproblem.net_start.(n + 1) in
+      add_float b weight;
+      add_int b (stop - first);
+      for q = first to stop - 1 do
+        add_pin q
+      done)
+    p.Wproblem.net_weight;
   (* the pair prefilter is a deterministic function of the nets, the
      candidate geometry envelopes and the parameters — all serialized
      above — so the pair array needs no bytes of its own *)

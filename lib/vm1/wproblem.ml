@@ -7,22 +7,23 @@ type candidate = {
 type cell = {
   inst : int;
   width : int;
+  npins : int;
   cands : candidate array;
-  geoms : Align.pin_geom array array;
+  xy : int array;  (* cand -> master pin -> ax, x_lo, x_hi, y *)
+  lattice : int array;  (* (orient group, row, site) -> cand, or -1 *)
+  at : int array;  (* cand -> occupancy index of its first site *)
   cand_cost : float array;  (* static per-candidate penalty (congestion) *)
   mutable cur : int;
 }
 
-type wpin = {
-  pr : Netlist.Design.pin_ref;
-  owner : int;
-  fixed_geom : Align.pin_geom;
-}
-
-type wnet = {
-  net_id : int;
-  weight : float;  (* beta_n / beta: the per-net multiplier *)
-  wpins : wpin array;
+type scratch = {
+  acc : float array;  (* the kernels' float accumulator *)
+  plan : int array;  (* staged ripple plan: (cell, cand) in push order *)
+  mutable plan_len : int;
+  kept : int array;  (* the plan [keep_plan] saved *)
+  mutable kept_len : int;
+  saved : int array;  (* staged cells' candidates before [plan_delta] *)
+  ids : int array;  (* a plan's affected net, then pair, ids *)
 }
 
 type t = {
@@ -33,39 +34,51 @@ type t = {
   row_lo : int;
   bw : int;
   bh : int;
+  move_s : int;
+  move_r : int;
   cells : cell array;
-  nets : wnet array;
-  pairs : (wpin * wpin) array;
-  cell_nets : int list array;
-  cell_pairs : int list array;
-  occ : Bytes.t;        (* per-site movable-cell count + fixed marks *)
-  fixed_occ : Bytes.t;  (* fixed blockage only *)
-  cand_index : (int, int) Hashtbl.t array;  (* encoded candidate -> index *)
-  row_cells : int list array;  (* window row -> cells with a candidate in it *)
+  net_weight : float array;
+  net_start : int array;
+  pins : int array;
+  pair_pins : int array;
+  cell_net_start : int array;
+  cell_nets : int array;
+  cell_pair_start : int array;
+  cell_pairs : int array;
+  cell_pin_start : int array;
+  cell_pins : int array;
+  occ : Bytes.t;
+  owner : int array;
+  fixed_occ : Bytes.t;
+  scratch : scratch;
 }
 
-(* --- occupancy helpers; coordinates are window-local. Occupancy is a
-   per-site count so that transient overlap during multi-cell plan
-   application stays consistent. --- *)
+(* window-pin record layout: owner, slot, then the current coordinates *)
+let pin_stride = 6
 
-let occ_idx t ~site ~row = ((row - t.row_lo) * t.bw) + (site - t.site_lo)
+let max_plan_moves = 8
 
-let bump occ t ~site ~row ~width delta =
-  for s = site to site + width - 1 do
-    let i = occ_idx t ~site:s ~row in
+(* --- occupancy; coordinates are window-local. Occupancy is a per-site
+   count, so that transient overlap while a plan is applied cell by cell
+   stays consistent; the owner map names the movable cell on each site. --- *)
+
+let site_idx t ~site ~row = ((row - t.row_lo) * t.bw) + (site - t.site_lo)
+
+let bump occ i0 width delta =
+  for i = i0 to i0 + width - 1 do
     Bytes.set occ i (Char.chr (Char.code (Bytes.get occ i) + delta))
   done
 
-let footprint_free occ t ~site ~row ~width =
-  let rec go s =
-    s >= site + width
-    || (Bytes.get occ (occ_idx t ~site:s ~row) = '\000' && go (s + 1))
-  in
-  go site
+(* sites [i, stop) all empty *)
+let rec free_from occ i stop =
+  i >= stop || (Bytes.get occ i = '\000' && free_from occ (i + 1) stop)
 
-let encode_cand t ~site ~row ~orient =
-  let o = if Geom.Orient.is_flipped orient then 1 else 0 in
-  ((((row - t.row_lo) * (t.bw + 1)) + (site - t.site_lo)) * 2) + o
+(* sites [i, stop) empty, or held only by the footprint [own_lo, own_hi) *)
+let rec free_but_own occ i stop own_lo own_hi =
+  i >= stop
+  || (let n = Bytes.get occ i in
+      (n = '\000' || (n = '\001' && i >= own_lo && i < own_hi))
+      && free_but_own occ (i + 1) stop own_lo own_hi)
 
 (* --- extraction --- *)
 
@@ -81,355 +94,458 @@ let row_index (p : Place.Placement.t) =
   done;
   idx
 
-let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t) (params : Params.t)
-    ~site_lo ~row_lo ~bw ~bh ~movable ~lx ~ly ~allow_flip ~allow_move =
+(* CSR starts from per-row counts (held in [start.(1..n)]), in place *)
+let prefix_sum start =
+  for i = 1 to Array.length start - 1 do
+    start.(i) <- start.(i) + start.(i - 1)
+  done
+
+let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
+    (params : Params.t) ~site_lo ~row_lo ~bw ~bh ~movable ~lx ~ly ~allow_flip
+    ~allow_move =
   let design = p.design in
   let tech = p.tech in
   let movable = Array.of_list movable in
   let n_cells = Array.length movable in
   let cell_of_inst = Hashtbl.create (2 * n_cells) in
-  Array.iteri (fun c i -> Hashtbl.replace cell_of_inst i c) movable;
+  for c = 0 to n_cells - 1 do
+    Hashtbl.replace cell_of_inst movable.(c) c
+  done;
+  let cell_of i = try Hashtbl.find cell_of_inst i with Not_found -> -1 in
   (* fixed occupancy: every instance footprint intersecting the window,
      except the movable ones *)
-  let shell =
-    {
-      placement = p;
-      params;
-      is_open = tech.Pdk.Tech.arch = Pdk.Cell_arch.Open_m1;
-      site_lo;
-      row_lo;
-      bw;
-      bh;
-      cells = [||];
-      nets = [||];
-      pairs = [||];
-      cell_nets = [||];
-      cell_pairs = [||];
-      occ = Bytes.make (bw * bh) '\000';
-      fixed_occ = Bytes.make (bw * bh) '\000';
-      cand_index = [||];
-      row_cells = [||];
-    }
-  in
   let fixed_occ = Bytes.make (bw * bh) '\000' in
   let site_hi = site_lo + bw - 1 and row_hi = row_lo + bh - 1 in
+  let occ_at s r = ((r - row_lo) * bw) + (s - site_lo) in
   let mark_fixed i r =
     if not (Hashtbl.mem cell_of_inst i) then begin
-      let inst = design.Netlist.Design.instances.(i) in
       let s = Place.Placement.site_of_inst p i in
-      let w = inst.master.Pdk.Stdcell.width_sites in
+      let w =
+        design.Netlist.Design.instances.(i).master.Pdk.Stdcell.width_sites
+      in
       let a = max s site_lo and b = min (s + w - 1) site_hi in
-      if a <= b then bump fixed_occ shell ~site:a ~row:r ~width:(b - a + 1) 1
+      if a <= b then bump fixed_occ (occ_at a r) (b - a + 1) 1
     end
   in
   (match rows with
   | Some idx ->
     (* occupancy bumps are additive, so visiting by row bucket instead of
        instance id leaves the resulting map identical *)
+    let rec mark_row r = function
+      | [] -> ()
+      | i :: rest ->
+        mark_fixed i r;
+        mark_row r rest
+    in
     for r = max 0 row_lo to min (Array.length idx - 1) row_hi do
-      List.iter (fun i -> mark_fixed i r) idx.(r)
+      mark_row r idx.(r)
     done
   | None ->
-    Array.iteri
-      (fun i (_ : Netlist.Design.instance) ->
-        let r = Place.Placement.row_of_inst p i in
-        if r >= row_lo && r <= row_hi then mark_fixed i r)
-      design.instances);
-  (* candidate generation *)
-  let make_cell c_idx inst_id =
-    ignore c_idx;
+    for i = 0 to Array.length design.instances - 1 do
+      let r = Place.Placement.row_of_inst p i in
+      if r >= row_lo && r <= row_hi then mark_fixed i r
+    done);
+  (* candidate generation: orientation groups (the input one, then its
+     flip), site offsets, row offsets; candidate 0 is the input position *)
+  let move_s = if allow_move then lx else 0 in
+  let move_r = if allow_move then ly else 0 in
+  let span_s = (2 * move_s) + 1 and span_r = (2 * move_r) + 1 in
+  let n_groups = if allow_flip then 2 else 1 in
+  let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
+  let make_cell inst_id =
     let inst = design.Netlist.Design.instances.(inst_id) in
     let w = inst.master.Pdk.Stdcell.width_sites in
     let s0 = Place.Placement.site_of_inst p inst_id in
     let r0 = Place.Placement.row_of_inst p inst_id in
     let o0 = p.orients.(inst_id) in
-    let cands = ref [] in
-    let try_cand site row orient =
-      let duplicate = site = s0 && row = r0 && orient = o0 in
-      if
-        (not duplicate)
-        && site >= site_lo
-        && site + w - 1 <= site_hi
-        && row >= row_lo && row <= row_hi
-        && row >= 0
-        && row < p.num_rows
-        && site >= 0
-        && site + w <= p.sites_per_row
-        && footprint_free fixed_occ shell ~site ~row ~width:w
-      then cands := { site; row; orient } :: !cands
+    let orient g = if g = 0 then o0 else Geom.Orient.flip_y o0 in
+    let lattice = Array.make (n_groups * span_r * span_s) (-1) in
+    let point g dr ds =
+      (((g * span_r) + dr + move_r) * span_s) + ds + move_s
     in
-    let orients = if allow_flip then [ o0; Geom.Orient.flip_y o0 ] else [ o0 ] in
-    let move_s = if allow_move then lx else 0 in
-    let move_r = if allow_move then ly else 0 in
-    List.iter
-      (fun o ->
-        for ds = -move_s to move_s do
-          for dr = -move_r to move_r do
-            try_cand (s0 + ds) (r0 + dr) o
-          done
-        done)
-      orients;
-    let cands =
-      Array.of_list ({ site = s0; row = r0; orient = o0 } :: List.rev !cands)
-    in
-    let n_pins = List.length inst.master.Pdk.Stdcell.pins in
+    lattice.(point 0 0 0) <- 0;
+    let n_cands = ref 1 in
+    for g = 0 to n_groups - 1 do
+      for ds = -move_s to move_s do
+        for dr = -move_r to move_r do
+          let site = s0 + ds and row = r0 + dr in
+          if
+            (g > 0 || ds <> 0 || dr <> 0)
+            && site >= site_lo
+            && site + w - 1 <= site_hi
+            && row >= row_lo && row <= row_hi
+            && row >= 0
+            && row < p.num_rows
+            && site >= 0
+            && site + w <= p.sites_per_row
+            && free_from fixed_occ (occ_at site row) (occ_at site row + w)
+          then begin
+            lattice.(point g dr ds) <- !n_cands;
+            n_cands := !n_cands + 1
+          end
+        done
+      done
+    done;
     (* placed pin geometry is affine in the cell origin, so the master's
        shape lists are walked once per orientation (at site/row 0) and
-       every candidate's table is a translation of that base *)
-    let locals =
-      List.map
-        (fun o ->
-          ( o,
-            Array.init n_pins (fun k ->
-                Align.of_candidate p
-                  { Netlist.Design.inst = inst_id; pin = k }
-                  ~site:0 ~row:0 ~orient:o) ))
-        orients
-    in
-    let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
-    let geoms =
-      Array.map
-        (fun (cand : candidate) ->
-          let base =
-            match
-              List.find_opt
-                (fun (o, _) -> Geom.Orient.equal o cand.orient)
-                locals
-            with
-            | Some (_, a) -> a
-            | None ->
-              (* unreachable: candidates only use orientations from
-                 [orients] *)
-              Array.init n_pins (fun k ->
-                  Align.of_candidate p
-                    { Netlist.Design.inst = inst_id; pin = k }
-                    ~site:0 ~row:0 ~orient:cand.orient)
-          in
-          let dx = cand.site * sw and dy = cand.row * rh in
-          Array.map
-            (fun (g : Align.pin_geom) ->
-              {
-                Align.ax = g.Align.ax + dx;
-                x_lo = g.Align.x_lo + dx;
-                x_hi = g.Align.x_hi + dx;
-                y = g.Align.y + dy;
-              })
-            base)
-        cands
-    in
-    let cand_cost =
-      match candidate_cost with
-      | None -> Array.make (Array.length cands) 0.0
-      | Some f ->
-        Array.map (fun (c : candidate) -> f ~site:c.site ~row:c.row) cands
-    in
-    { inst = inst_id; width = w; cands; geoms; cand_cost; cur = 0 }
-  in
-  let cells = Array.mapi make_cell movable in
-  (* nets touching movable cells *)
-  let net_set = Hashtbl.create 64 in
-  Array.iter
-    (fun cell ->
-      List.iter
-        (fun n ->
-          let net = design.Netlist.Design.nets.(n) in
-          if (not net.is_clock) && Array.length net.pins >= 2 then
-            Hashtbl.replace net_set n ())
-        (Netlist.Design.nets_of_instance design cell.inst))
-    cells;
-  let make_wpin (pr : Netlist.Design.pin_ref) =
-    let owner =
-      match Hashtbl.find_opt cell_of_inst pr.inst with
-      | Some c -> c
-      | None -> -1
-    in
-    let fixed_geom =
-      if owner >= 0 then
-        (* placeholder; geometry comes from the candidate table *)
-        cells.(owner).geoms.(0).(pr.pin)
-      else Align.of_placed p pr
-    in
-    { pr; owner; fixed_geom }
-  in
-  (* sorted, not hash-order: the net array fixes the float-summation
-     order of the objective, which must be byte-reproducible *)
-  let nets =
-    Hashtbl.fold (fun n () acc -> n :: acc) net_set []
-    |> List.sort Int.compare
-    |> List.map (fun n ->
-           let net = design.Netlist.Design.nets.(n) in
-           {
-             net_id = n;
-             weight = Params.net_weight params n;
-             wpins = Array.map make_wpin net.pins;
-           })
-    |> Array.of_list
-  in
-  (* pair prefilter: keep pairs that can satisfy the dM1 predicate under
-     some candidate combination *)
-  let tech_row = tech.Pdk.Tech.row_height in
-  (* per-(cell, pin) candidate-geometry envelopes, computed once — the
-     pair prefilter below consults them once per net pair instead of
-     rescanning the whole candidate table each time *)
-  let pin_range (cell : cell) pin =
-    let axmin = ref max_int and axmax = ref min_int in
-    let lomin = ref max_int and himax = ref min_int in
-    let ymin = ref max_int and ymax = ref min_int in
-    Array.iter
-      (fun geoms ->
-        let g = geoms.(pin) in
-        if g.Align.ax < !axmin then axmin := g.Align.ax;
-        if g.Align.ax > !axmax then axmax := g.Align.ax;
-        if g.x_lo < !lomin then lomin := g.x_lo;
-        if g.x_hi > !himax then himax := g.x_hi;
-        if g.y < !ymin then ymin := g.y;
-        if g.y > !ymax then ymax := g.y)
-      cell.geoms;
-    (!axmin, !axmax, !lomin, !himax, !ymin, !ymax)
-  in
-  let cell_pin_ranges =
-    Array.map
-      (fun (cell : cell) ->
-        Array.init (Array.length cell.geoms.(0)) (pin_range cell))
-      cells
-  in
-  let geom_range (wp : wpin) =
-    if wp.owner < 0 then
-      let g = wp.fixed_geom in
-      (g.Align.ax, g.Align.ax, g.x_lo, g.x_hi, g.y, g.y)
-    else cell_pin_ranges.(wp.owner).(wp.pr.pin)
-  in
-  let is_open = shell.is_open in
-  let feasible_pair a b =
-    let axmin_a, axmax_a, lomin_a, himax_a, ymin_a, ymax_a = geom_range a in
-    let axmin_b, axmax_b, lomin_b, himax_b, ymin_b, ymax_b = geom_range b in
-    let dy_min = max 0 (max (ymin_a - ymax_b) (ymin_b - ymax_a)) in
-    if is_open then
-      let max_ov = min himax_a himax_b - max lomin_a lomin_b in
-      max_ov >= params.Params.delta
-      && dy_min <= params.Params.gamma * tech_row
-    else
-      max axmin_a axmin_b <= min axmax_a axmax_b
-      && dy_min <= params.Params.closed_gamma * tech_row
-  in
-  let pairs = ref [] in
-  Array.iter
-    (fun wnet ->
-      let k = Array.length wnet.wpins in
-      for i = 0 to k - 2 do
-        for j = i + 1 to k - 1 do
-          let a = wnet.wpins.(i) and b = wnet.wpins.(j) in
-          if
-            a.pr.inst <> b.pr.inst
-            && (a.owner >= 0 || b.owner >= 0)
-            && feasible_pair a b
-          then pairs := (a, b) :: !pairs
+       every candidate's coordinates are a translation of that base *)
+    let npins = List.length inst.master.Pdk.Stdcell.pins in
+    let base = Array.make (n_groups * npins * 4) 0 in
+    for g = 0 to n_groups - 1 do
+      for j = 0 to npins - 1 do
+        let b : Align.pin_geom =
+          Align.of_candidate p
+            { Netlist.Design.inst = inst_id; pin = j }
+            ~site:0 ~row:0 ~orient:(orient g)
+        in
+        let o = ((g * npins) + j) * 4 in
+        base.(o) <- b.ax;
+        base.(o + 1) <- b.x_lo;
+        base.(o + 2) <- b.x_hi;
+        base.(o + 3) <- b.y
+      done
+    done;
+    let cand0 = { site = s0; row = r0; orient = o0 } in
+    let cands = Array.make !n_cands cand0 in
+    let xy = Array.make (!n_cands * npins * 4) 0 in
+    for g = 0 to n_groups - 1 do
+      for ds = -move_s to move_s do
+        for dr = -move_r to move_r do
+          let k = lattice.(point g dr ds) in
+          if k >= 0 then begin
+            let site = s0 + ds and row = r0 + dr in
+            if k > 0 then cands.(k) <- { site; row; orient = orient g };
+            let dx = site * sw and dy = row * rh in
+            for f = 0 to (npins * 4) - 1 do
+              xy.((k * npins * 4) + f) <-
+                base.((g * npins * 4) + f) + if f land 3 = 3 then dy else dx
+            done
+          end
         done
-      done)
-    nets;
-  let pairs = Array.of_list !pairs in
-  (* per-cell incidence *)
-  let cell_nets = Array.make n_cells [] in
-  Array.iteri
-    (fun local wnet ->
-      let seen = Hashtbl.create 4 in
-      Array.iter
-        (fun wp ->
-          if wp.owner >= 0 && not (Hashtbl.mem seen wp.owner) then begin
-            Hashtbl.add seen wp.owner ();
-            cell_nets.(wp.owner) <- local :: cell_nets.(wp.owner)
-          end)
-        wnet.wpins)
-    nets;
-  let cell_pairs = Array.make n_cells [] in
-  Array.iteri
-    (fun idx (a, b) ->
-      if a.owner >= 0 then cell_pairs.(a.owner) <- idx :: cell_pairs.(a.owner);
-      if b.owner >= 0 && b.owner <> a.owner then
-        cell_pairs.(b.owner) <- idx :: cell_pairs.(b.owner))
-    pairs;
+      done
+    done;
+    let at = Array.make !n_cands 0 in
+    for k = 0 to !n_cands - 1 do
+      at.(k) <- occ_at cands.(k).site cands.(k).row
+    done;
+    let cand_cost = Array.make !n_cands 0.0 in
+    (match candidate_cost with
+    | None -> ()
+    | Some f ->
+      for k = 0 to !n_cands - 1 do
+        cand_cost.(k) <- f ~site:cands.(k).site ~row:cands.(k).row
+      done);
+    { inst = inst_id; width = w; npins; cands; xy; lattice; at; cand_cost;
+      cur = 0 }
+  in
+  let cells = Array.map make_cell movable in
+  (* nets touching movable cells, ascending id: the net order fixes the
+     float-summation order of the objective, which must be
+     byte-reproducible *)
+  let n_slots = ref 0 in
+  for c = 0 to n_cells - 1 do
+    n_slots := !n_slots + cells.(c).npins
+  done;
+  let net_ids = Array.make !n_slots max_int in
+  let n_found = ref 0 in
+  for c = 0 to n_cells - 1 do
+    let pin_nets = design.instances.(cells.(c).inst).pin_nets in
+    for j = 0 to Array.length pin_nets - 1 do
+      let n = pin_nets.(j) in
+      if n >= 0 then begin
+        let net = design.nets.(n) in
+        if (not net.is_clock) && Array.length net.pins >= 2 then begin
+          net_ids.(!n_found) <- n;
+          n_found := !n_found + 1
+        end
+      end
+    done
+  done;
+  Array.sort Int.compare net_ids;
+  let n_nets = ref 0 in
+  for i = 0 to !n_found - 1 do
+    if i = 0 || net_ids.(i) <> net_ids.(i - 1) then begin
+      net_ids.(!n_nets) <- net_ids.(i);
+      n_nets := !n_nets + 1
+    end
+  done;
+  let n_nets = !n_nets in
+  (* the pin table, net by net; a movable pin starts at candidate 0 *)
+  let net_start = Array.make (n_nets + 1) 0 in
+  let max_pairs = ref 0 in
+  for n = 0 to n_nets - 1 do
+    let k = Array.length design.nets.(net_ids.(n)).pins in
+    net_start.(n + 1) <- net_start.(n) + k;
+    max_pairs := !max_pairs + (k * (k - 1) / 2)
+  done;
+  let n_pins = net_start.(n_nets) in
+  let pins = Array.make (n_pins * pin_stride) 0 in
+  let net_weight = Array.make n_nets 0.0 in
+  for n = 0 to n_nets - 1 do
+    net_weight.(n) <- Params.net_weight params net_ids.(n);
+    let net_pins = design.nets.(net_ids.(n)).pins in
+    for j = 0 to Array.length net_pins - 1 do
+      let pr = net_pins.(j) in
+      let k = (net_start.(n) + j) * pin_stride in
+      let c = cell_of pr.inst in
+      pins.(k) <- c;
+      pins.(k + 1) <- 4 * pr.pin;
+      if c >= 0 then Array.blit cells.(c).xy (4 * pr.pin) pins (k + 2) 4
+      else begin
+        let g : Align.pin_geom = Align.of_placed p pr in
+        pins.(k + 2) <- g.ax;
+        pins.(k + 3) <- g.x_lo;
+        pins.(k + 4) <- g.x_hi;
+        pins.(k + 5) <- g.y
+      end
+    done
+  done;
+  (* pair prefilter: keep pairs that can satisfy the dM1 predicate under
+     some candidate combination, judged on each pin's envelope over its
+     owner's candidates: ax, x_lo, y minima and ax, x_hi, y maxima *)
+  let env = Array.make (n_pins * 6) 0 in
+  for q = 0 to n_pins - 1 do
+    let k = q * pin_stride and e = q * 6 in
+    let c = pins.(k) in
+    if c < 0 then begin
+      env.(e) <- pins.(k + 2);
+      env.(e + 1) <- pins.(k + 2);
+      env.(e + 2) <- pins.(k + 3);
+      env.(e + 3) <- pins.(k + 4);
+      env.(e + 4) <- pins.(k + 5);
+      env.(e + 5) <- pins.(k + 5)
+    end
+    else begin
+      let cell = cells.(c) in
+      env.(e) <- max_int;
+      env.(e + 1) <- min_int;
+      env.(e + 2) <- max_int;
+      env.(e + 3) <- min_int;
+      env.(e + 4) <- max_int;
+      env.(e + 5) <- min_int;
+      for cand = 0 to Array.length cell.cands - 1 do
+        let o = (cand * cell.npins * 4) + pins.(k + 1) in
+        let ax = cell.xy.(o) and y = cell.xy.(o + 3) in
+        if ax < env.(e) then env.(e) <- ax;
+        if ax > env.(e + 1) then env.(e + 1) <- ax;
+        if cell.xy.(o + 1) < env.(e + 2) then env.(e + 2) <- cell.xy.(o + 1);
+        if cell.xy.(o + 2) > env.(e + 3) then env.(e + 3) <- cell.xy.(o + 2);
+        if y < env.(e + 4) then env.(e + 4) <- y;
+        if y > env.(e + 5) then env.(e + 5) <- y
+      done
+    end
+  done;
+  let is_open = tech.Pdk.Tech.arch = Pdk.Cell_arch.Open_m1 in
+  let feasible_pair a b =
+    let ea = a * 6 and eb = b * 6 in
+    let dy_min =
+      max 0 (max (env.(ea + 4) - env.(eb + 5)) (env.(eb + 4) - env.(ea + 5)))
+    in
+    if is_open then
+      min env.(ea + 3) env.(eb + 3) - max env.(ea + 2) env.(eb + 2)
+      >= params.Params.delta
+      && dy_min <= params.Params.gamma * rh
+    else
+      max env.(ea) env.(eb) <= min env.(ea + 1) env.(eb + 1)
+      && dy_min <= params.Params.closed_gamma * rh
+  in
+  let found = Array.make (2 * !max_pairs) 0 in
+  let n_pairs = ref 0 in
+  for n = 0 to n_nets - 1 do
+    let net_pins = design.nets.(net_ids.(n)).pins in
+    let k = Array.length net_pins in
+    for i = 0 to k - 2 do
+      for j = i + 1 to k - 1 do
+        let a = net_start.(n) + i and b = net_start.(n) + j in
+        if
+          net_pins.(i).inst <> net_pins.(j).inst
+          && (pins.(a * pin_stride) >= 0 || pins.(b * pin_stride) >= 0)
+          && feasible_pair a b
+        then begin
+          found.(2 * !n_pairs) <- a;
+          found.((2 * !n_pairs) + 1) <- b;
+          n_pairs := !n_pairs + 1
+        end
+      done
+    done
+  done;
+  (* pairs are stored newest first, the order the objective sums them in *)
+  let n_pairs = !n_pairs in
+  let pair_pins = Array.make (2 * n_pairs) 0 in
+  for q = 0 to n_pairs - 1 do
+    Array.blit found (2 * q) pair_pins (2 * (n_pairs - 1 - q)) 2
+  done;
+  (* per-cell incidence in CSR form, each row newest first: a cell's nets
+     and pairs in descending id order, the order local_cost sums them in.
+     [last] keeps a cell listed once per net. *)
+  let cell_net_start = Array.make (n_cells + 1) 0 in
+  let cell_pair_start = Array.make (n_cells + 1) 0 in
+  let cell_pin_start = Array.make (n_cells + 1) 0 in
+  let last = Array.make n_cells (-1) in
+  for n = 0 to n_nets - 1 do
+    for q = net_start.(n) to net_start.(n + 1) - 1 do
+      let c = pins.(q * pin_stride) in
+      if c >= 0 then begin
+        cell_pin_start.(c + 1) <- cell_pin_start.(c + 1) + 1;
+        if last.(c) <> n then begin
+          last.(c) <- n;
+          cell_net_start.(c + 1) <- cell_net_start.(c + 1) + 1
+        end
+      end
+    done
+  done;
+  for q = 0 to n_pairs - 1 do
+    let ca = pins.(pair_pins.(2 * q) * pin_stride)
+    and cb = pins.(pair_pins.((2 * q) + 1) * pin_stride) in
+    if ca >= 0 then cell_pair_start.(ca + 1) <- cell_pair_start.(ca + 1) + 1;
+    if cb >= 0 && cb <> ca then
+      cell_pair_start.(cb + 1) <- cell_pair_start.(cb + 1) + 1
+  done;
+  prefix_sum cell_net_start;
+  prefix_sum cell_pair_start;
+  prefix_sum cell_pin_start;
+  let cell_nets = Array.make cell_net_start.(n_cells) 0 in
+  let cell_pairs = Array.make cell_pair_start.(n_cells) 0 in
+  let cell_pins = Array.make cell_pin_start.(n_cells) 0 in
+  let fill = Array.make n_cells 0 in
+  Array.blit cell_net_start 0 fill 0 n_cells;
+  Array.fill last 0 n_cells (-1);
+  for n = n_nets - 1 downto 0 do
+    for q = net_start.(n) to net_start.(n + 1) - 1 do
+      let c = pins.(q * pin_stride) in
+      if c >= 0 && last.(c) <> n then begin
+        last.(c) <- n;
+        cell_nets.(fill.(c)) <- n;
+        fill.(c) <- fill.(c) + 1
+      end
+    done
+  done;
+  Array.blit cell_pair_start 0 fill 0 n_cells;
+  for q = n_pairs - 1 downto 0 do
+    let ca = pins.(pair_pins.(2 * q) * pin_stride)
+    and cb = pins.(pair_pins.((2 * q) + 1) * pin_stride) in
+    if ca >= 0 then begin
+      cell_pairs.(fill.(ca)) <- q;
+      fill.(ca) <- fill.(ca) + 1
+    end;
+    if cb >= 0 && cb <> ca then begin
+      cell_pairs.(fill.(cb)) <- q;
+      fill.(cb) <- fill.(cb) + 1
+    end
+  done;
+  Array.blit cell_pin_start 0 fill 0 n_cells;
+  for q = 0 to n_pins - 1 do
+    let c = pins.(q * pin_stride) in
+    if c >= 0 then begin
+      cell_pins.(fill.(c)) <- q;
+      fill.(c) <- fill.(c) + 1
+    end
+  done;
   (* live occupancy = fixed + movable current footprints *)
   let occ = Bytes.copy fixed_occ in
-  let cand_index =
-    Array.map
-      (fun (cell : cell) ->
-        let h = Hashtbl.create (2 * Array.length cell.cands) in
-        Array.iteri
-          (fun k (cand : candidate) ->
-            Hashtbl.replace h
-              (encode_cand shell ~site:cand.site ~row:cand.row
-                 ~orient:cand.orient)
-              k)
-          cell.cands;
-        h)
-      cells
-  in
-  (* per window row, ascending, the cells with any candidate in that row
-     (shove_plan's search space). Cells are visited in descending order
-     and prepended, so a cell's repeat visits to a row find it already
-     at the head. *)
-  let row_cells = Array.make bh [] in
-  for c = n_cells - 1 downto 0 do
-    Array.iter
-      (fun (cand : candidate) ->
-        let r = cand.row - row_lo in
-        match row_cells.(r) with
-        | hd :: _ when hd = c -> ()
-        | l -> row_cells.(r) <- c :: l)
-      cells.(c).cands
+  let owner = Array.make (bw * bh) (-1) in
+  let max_incidence = ref 0 in
+  for c = 0 to n_cells - 1 do
+    let i0 = cells.(c).at.(0) in
+    bump occ i0 cells.(c).width 1;
+    Array.fill owner i0 cells.(c).width c;
+    max_incidence :=
+      max !max_incidence
+        (cell_net_start.(c + 1) - cell_net_start.(c)
+        + cell_pair_start.(c + 1) - cell_pair_start.(c))
   done;
-  let t =
-    { shell with cells; nets; pairs; cell_nets; cell_pairs; occ; fixed_occ;
-      cand_index; row_cells }
-  in
-  Array.iter
-    (fun cell ->
-      let c = cell.cands.(cell.cur) in
-      bump occ t ~site:c.site ~row:c.row ~width:cell.width 1)
+  {
+    placement = p;
+    params;
+    is_open;
+    site_lo;
+    row_lo;
+    bw;
+    bh;
+    move_s;
+    move_r;
     cells;
-  t
+    net_weight;
+    net_start;
+    pins;
+    pair_pins;
+    cell_net_start;
+    cell_nets;
+    cell_pair_start;
+    cell_pairs;
+    cell_pin_start;
+    cell_pins;
+    occ;
+    owner;
+    fixed_occ;
+    scratch =
+      {
+        acc = [| 0.0 |];
+        plan = Array.make (2 * max_plan_moves) 0;
+        plan_len = 0;
+        kept = Array.make (2 * max_plan_moves) 0;
+        kept_len = 0;
+        saved = Array.make max_plan_moves 0;
+        ids = Array.make (max_plan_moves * !max_incidence) 0;
+      };
+  }
 
-(* --- evaluation --- *)
+(* --- evaluation ---
 
-let pin_geom t (wp : wpin) =
-  if wp.owner < 0 then wp.fixed_geom
+   The kernels read pin coordinates as if [cell] sat at the candidate
+   whose block starts at [cb] in its [xy], every other cell at its
+   current candidate; [cell] = [no_cell] reads the current state. Window
+   pin [q]'s record starts at [q * pin_stride]. *)
+
+(* no pin's owner: movable cells are >= 0, fixed pins -1 *)
+let no_cell = -2
+
+let[@inline] coord pins xy cell cb k f =
+  if pins.(k) = cell then xy.(cb + pins.(k + 1) + f) else pins.(k + 2 + f)
+
+(* half-perimeter of the window pins [i, stop): a top-level tail-recursive
+   walk, so the bounding box stays in registers and nothing is
+   allocated *)
+let rec span pins xy cell cb i stop xmin xmax ymin ymax =
+  if i = stop then xmax - xmin + (ymax - ymin)
   else begin
-    let cell = t.cells.(wp.owner) in
-    cell.geoms.(cell.cur).(wp.pr.pin)
+    let k = i * pin_stride in
+    let ax = coord pins xy cell cb k 0 and y = coord pins xy cell cb k 3 in
+    span pins xy cell cb (i + 1) stop
+      (if ax < xmin then ax else xmin)
+      (if ax > xmax then ax else xmax)
+      (if y < ymin then y else ymin)
+      (if y > ymax then y else ymax)
   end
 
-(* Geometry of a pin assuming [cell] sits at candidate [cand]; other cells
-   at their current candidates. *)
-let pin_geom_if t ~cell ~cand (wp : wpin) =
-  if wp.owner >= 0 && wp.owner = cell then
-    t.cells.(cell).geoms.(cand).(wp.pr.pin)
-  else pin_geom t wp
+let net_hpwl t xy cell cb n =
+  span t.pins xy cell cb t.net_start.(n) t.net_start.(n + 1) max_int min_int
+    max_int min_int
 
-(* Ref-free bounding-box walk: this runs once per (cell, candidate, net)
-   in the solver inner loops, so the four int refs of the obvious
-   formulation are a measurable allocation cost. *)
-let net_hpwl_with t ~cell ~cand (wnet : wnet) =
-  let wpins = wnet.wpins in
-  let n = Array.length wpins in
-  let rec go i xmin xmax ymin ymax =
-    if i = n then xmax - xmin + (ymax - ymin)
-    else begin
-      let g = pin_geom_if t ~cell ~cand wpins.(i) in
-      let ax = g.Align.ax and y = g.Align.y in
-      go (i + 1)
-        (if ax < xmin then ax else xmin)
-        (if ax > xmax then ax else xmax)
-        (if y < ymin then y else ymin)
-        (if y > ymax then y else ymax)
-    end
-  in
-  go 0 max_int min_int max_int min_int
+let[@inline] net_cost t xy cell cb n =
+  t.params.Params.beta *. t.net_weight.(n)
+  *. float_of_int (net_hpwl t xy cell cb n)
 
-let pair_gain_with t ~cell ~cand (a, b) =
+let[@inline] pair_gain t xy cell cb q =
+  let pins = t.pins and params = t.params in
   let tech = t.placement.Place.Placement.tech in
-  Align.pair_gain t.params tech
-    (pin_geom_if t ~cell ~cand a)
-    (pin_geom_if t ~cell ~cand b)
+  let a = t.pair_pins.(2 * q) * pin_stride
+  and b = t.pair_pins.((2 * q) + 1) * pin_stride in
+  if t.is_open then
+    Align.open_gain params
+      (Align.overlap_xy params tech ~lo1:(coord pins xy cell cb a 1)
+         ~hi1:(coord pins xy cell cb a 2) ~y1:(coord pins xy cell cb a 3)
+         ~lo2:(coord pins xy cell cb b 1) ~hi2:(coord pins xy cell cb b 2)
+         ~y2:(coord pins xy cell cb b 3))
+  else
+    Align.closed_gain params
+      (Align.aligned_xy params tech ~ax1:(coord pins xy cell cb a 0)
+         ~y1:(coord pins xy cell cb a 3) ~ax2:(coord pins xy cell cb b 0)
+         ~y2:(coord pins xy cell cb b 3))
+
+let no_xy = [||]
+
+let num_pairs t = Array.length t.pair_pins / 2
 
 (* Window-local QoR counts in the problem's current state; the same
    quantities Objective.counts reports globally, restricted to the
@@ -443,77 +559,120 @@ type qor = {
 
 let qor t =
   let hpwl = ref 0 in
-  Array.iter
-    (fun wnet -> hpwl := !hpwl + net_hpwl_with t ~cell:(-1) ~cand:0 wnet)
-    t.nets;
+  for n = 0 to Array.length t.net_weight - 1 do
+    hpwl := !hpwl + net_hpwl t no_xy no_cell 0 n
+  done;
   let tech = t.placement.Place.Placement.tech in
   let alignments = ref 0 and overlap_sum = ref 0 in
-  Array.iter
-    (fun (a, b) ->
-      let ga = pin_geom t a and gb = pin_geom t b in
-      if t.is_open then begin
-        let d, o = Align.overlap t.params tech ga gb in
-        if d then incr alignments;
+  let pins = t.pins in
+  for q = 0 to num_pairs t - 1 do
+    let a = t.pair_pins.(2 * q) * pin_stride
+    and b = t.pair_pins.((2 * q) + 1) * pin_stride in
+    if t.is_open then begin
+      let o =
+        Align.overlap_xy t.params tech ~lo1:pins.(a + 3) ~hi1:pins.(a + 4)
+          ~y1:pins.(a + 5) ~lo2:pins.(b + 3) ~hi2:pins.(b + 4) ~y2:pins.(b + 5)
+      in
+      if o >= 0 then begin
+        incr alignments;
         overlap_sum := !overlap_sum + o
       end
-      else if Align.aligned t.params tech ga gb then incr alignments)
-    t.pairs;
+    end
+    else if
+      Align.aligned_xy t.params tech ~ax1:pins.(a + 2) ~y1:pins.(a + 5)
+        ~ax2:pins.(b + 2) ~y2:pins.(b + 5)
+    then incr alignments
+  done;
   { hpwl_dbu = !hpwl; alignments = !alignments; overlap_sum = !overlap_sum }
 
 let objective t =
-  let beta = t.params.Params.beta in
   let total = ref 0.0 in
   Array.iter (fun (c : cell) -> total := !total +. c.cand_cost.(c.cur)) t.cells;
-  Array.iter
-    (fun wnet ->
-      total :=
-        !total
-        +. (beta *. wnet.weight
-            *. float_of_int (net_hpwl_with t ~cell:(-1) ~cand:0 wnet)))
-    t.nets;
-  Array.iter
-    (fun pair -> total := !total -. pair_gain_with t ~cell:(-1) ~cand:0 pair)
-    t.pairs;
+  for n = 0 to Array.length t.net_weight - 1 do
+    total := !total +. net_cost t no_xy no_cell 0 n
+  done;
+  for q = 0 to num_pairs t - 1 do
+    total := !total -. pair_gain t no_xy no_cell 0 q
+  done;
   !total
 
-let candidate_free t ~cell ~cand =
+(* A site counts as free when empty, or held once inside the cell's own
+   current footprint: the cell never blocks its own move. *)
+let[@vm1.hot] candidate_free t ~cell ~cand =
   let c = t.cells.(cell) in
-  let cur = c.cands.(c.cur) and next = c.cands.(cand) in
-  (* lift own footprint, test, restore *)
-  bump t.occ t ~site:cur.site ~row:cur.row ~width:c.width (-1);
-  let ok = footprint_free t.occ t ~site:next.site ~row:next.row ~width:c.width in
-  bump t.occ t ~site:cur.site ~row:cur.row ~width:c.width 1;
-  ok
+  let i0 = c.at.(cand) and own = c.at.(c.cur) in
+  free_but_own t.occ i0 (i0 + c.width) own (own + c.width)
 
-(* Folds rather than a float ref: the summation order (cand_cost, then
-   nets in incidence order, then pairs) is unchanged, so the float
-   result is bit-identical to the ref formulation. *)
-let local_cost t ~cell ~cand =
-  let beta = t.params.Params.beta in
-  let acc =
-    List.fold_left
-      (fun acc nidx ->
-        let wnet = t.nets.(nidx) in
-        acc
-        +. (beta *. wnet.weight
-            *. float_of_int (net_hpwl_with t ~cell ~cand wnet)))
-      t.cells.(cell).cand_cost.(cand)
-      t.cell_nets.(cell)
-  in
-  List.fold_left
-    (fun acc pidx -> acc -. pair_gain_with t ~cell ~cand t.pairs.(pidx))
-    acc t.cell_pairs.(cell)
-
-let move_delta t ~cell ~cand =
+(* Sums cand_cost, then the cell's nets, then its pairs, in incidence
+   order. Placements and solver statistics depend on these floats, so the
+   order is fixed: equal states give bit-identical costs. *)
+let[@vm1.hot] local_cost t ~cell ~cand =
   let c = t.cells.(cell) in
-  local_cost t ~cell ~cand -. local_cost t ~cell ~cand:c.cur
+  let xy = c.xy and cb = cand * c.npins * 4 in
+  let acc = t.scratch.acc in
+  acc.(0) <- c.cand_cost.(cand);
+  for i = t.cell_net_start.(cell) to t.cell_net_start.(cell + 1) - 1 do
+    acc.(0) <- acc.(0) +. net_cost t xy cell cb t.cell_nets.(i)
+  done;
+  for i = t.cell_pair_start.(cell) to t.cell_pair_start.(cell + 1) - 1 do
+    acc.(0) <- acc.(0) -. pair_gain t xy cell cb t.cell_pairs.(i)
+  done;
+  acc.(0)
+
+let[@vm1.hot] move_delta t ~cell ~cand =
+  local_cost t ~cell ~cand -. local_cost t ~cell ~cand:t.cells.(cell).cur
+
+(* Objective credit of [cell]'s pairs if it sat at [cand]: used to decide
+   which blocked candidates are worth a shove attempt. *)
+let[@vm1.hot] cell_pair_gain_at t ~cell ~cand =
+  let c = t.cells.(cell) in
+  let xy = c.xy and cb = cand * c.npins * 4 in
+  let acc = t.scratch.acc in
+  acc.(0) <- 0.0;
+  for i = t.cell_pair_start.(cell) to t.cell_pair_start.(cell + 1) - 1 do
+    acc.(0) <- acc.(0) +. pair_gain t xy cell cb t.cell_pairs.(i)
+  done;
+  acc.(0)
+
+(* --- moves. [lift]/[drop] remove or add a cell's current footprint;
+   [set_cur] changes its candidate and its pins' current coordinates.
+
+   The owner map stays exact although [lift] clears only the sites the
+   cell still owns: every plan and assignment moves each cell at most
+   once, and its end state has no overlap, so a site another cell moved
+   onto before this one left keeps its new owner. --- *)
+
+let lift t ~cell =
+  let c = t.cells.(cell) in
+  let i0 = c.at.(c.cur) in
+  bump t.occ i0 c.width (-1);
+  for i = i0 to i0 + c.width - 1 do
+    if t.owner.(i) = cell then t.owner.(i) <- -1
+  done
+
+let drop t ~cell =
+  let c = t.cells.(cell) in
+  let i0 = c.at.(c.cur) in
+  bump t.occ i0 c.width 1;
+  Array.fill t.owner i0 c.width cell
+
+let set_cur t ~cell ~cand =
+  let c = t.cells.(cell) in
+  c.cur <- cand;
+  let cb = cand * c.npins * 4 in
+  for i = t.cell_pin_start.(cell) to t.cell_pin_start.(cell + 1) - 1 do
+    let k = t.cell_pins.(i) * pin_stride in
+    Array.blit c.xy (cb + t.pins.(k + 1)) t.pins (k + 2) 4
+  done
+
+let footprint_free_at t ~cell ~cand =
+  let c = t.cells.(cell) in
+  free_from t.occ c.at.(cand) (c.at.(cand) + c.width)
 
 let apply t ~cell ~cand =
-  let c = t.cells.(cell) in
-  let cur = c.cands.(c.cur) and next = c.cands.(cand) in
-  bump t.occ t ~site:cur.site ~row:cur.row ~width:c.width (-1);
-  bump t.occ t ~site:next.site ~row:next.row ~width:c.width 1;
-  c.cur <- cand
+  lift t ~cell;
+  set_cur t ~cell ~cand;
+  drop t ~cell
 
 let commit t =
   Array.iter
@@ -525,7 +684,7 @@ let commit t =
 
 (* --- multi-cell plans (ripple moves) ---
 
-   A plan is a list of (cell, candidate) moves applied together. Plans are
+   A plan is a set of (cell, candidate) moves applied together. Plans are
    how the solver reproduces the MILP's coordinated moves: to vacate a
    target footprint, same-row neighbours are pushed sideways within their
    own candidate sets (so every pushed cell still respects its
@@ -533,185 +692,203 @@ let commit t =
 
 let apply_plan t plan = List.iter (fun (cell, cand) -> apply t ~cell ~cand) plan
 
-(* The affected nets/pairs come back as sorted id lists: the evaluation
-   below sums floats, so visiting them in hash order would make the total
-   depend on table layout. *)
-let plan_affected t plan =
-  let nets = Hashtbl.create 16 and pairs = Hashtbl.create 16 in
-  List.iter
-    (fun (cell, _) ->
-      List.iter (fun n -> Hashtbl.replace nets n ()) t.cell_nets.(cell);
-      List.iter (fun pi -> Hashtbl.replace pairs pi ()) t.cell_pairs.(cell))
-    plan;
-  let keys tbl =
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Int.compare
+(* the candidate of cell [idx] at [site] in [row] with its current
+   orientation, or -1 *)
+let cand_at t idx ~site ~row =
+  let c = t.cells.(idx) in
+  let c0 = c.cands.(0) in
+  let ds = site - c0.site + t.move_s and dr = row - c0.row + t.move_r in
+  let span_s = (2 * t.move_s) + 1 and span_r = (2 * t.move_r) + 1 in
+  if ds < 0 || ds >= span_s || dr < 0 || dr >= span_r then -1
+  else begin
+    let g =
+      if
+        Geom.Orient.is_flipped c.cands.(c.cur).orient
+        = Geom.Orient.is_flipped c0.orient
+      then 0
+      else 1
+    in
+    c.lattice.((((g * span_r) + dr) * span_s) + ds)
+  end
+
+let stage s cell cand =
+  s.plan.(2 * s.plan_len) <- cell;
+  s.plan.((2 * s.plan_len) + 1) <- cand;
+  s.plan_len <- s.plan_len + 1
+
+(* The first movable cell other than [moving] met walking the owner map
+   from occupancy index [i] down to [lo] (up to [hi]) that starts left of
+   (at or right of) [a], or -1. *)
+let rec owner_down t ~moving ~a i lo =
+  if i < lo then -1
+  else begin
+    let o = t.owner.(i) in
+    if o >= 0 && o <> moving && t.cells.(o).cands.(t.cells.(o).cur).site < a
+    then o
+    else owner_down t ~moving ~a (i - 1) lo
+  end
+
+let rec owner_up t ~moving ~a i hi =
+  if i > hi then -1
+  else begin
+    let o = t.owner.(i) in
+    if o >= 0 && o <> moving && t.cells.(o).cands.(t.cells.(o).cur).site >= a
+    then o
+    else owner_up t ~moving ~a (i + 1) hi
+  end
+
+(* Left cascade. The planned footprints start at [required]; the next
+   cell to the left that reaches past it slides left to end there.
+   Earlier intruders start at or right of [lim] and the state has no
+   overlap, so that cell is the first one owning a site of
+   [required, lim - 1] (initially: the cell covering the target's first
+   site [a] from the left). The cells further left end at or before
+   [required], so the cascade stops there. The scanned sites lie in
+   footprints already planned, all of them candidates and so clear of
+   fixed blockage. False when the plan fails: more than
+   [max_plan_moves] moves, or no candidate at a slid-to site. *)
+let rec shove_left t ~moving ~row ~a ~required ~lim =
+  let base = site_idx t ~site:0 ~row in
+  let o =
+    owner_down t ~moving ~a (base + max (lim - 1) required) (base + required)
   in
-  (keys nets, keys pairs)
+  o < 0
+  || begin
+    let c = t.cells.(o) in
+    let new_site = required - c.width in
+    let k = cand_at t o ~site:new_site ~row in
+    t.scratch.plan_len < max_plan_moves
+    && k >= 0
+    && begin
+      stage t.scratch o k;
+      shove_left t ~moving ~row ~a ~required:new_site
+        ~lim:c.cands.(c.cur).site
+    end
+  end
 
-let eval_affected t nets pairs cells_involved =
-  let beta = t.params.Params.beta in
-  let acc = ref 0.0 in
-  List.iter
-    (fun cell ->
-      let c = t.cells.(cell) in
-      acc := !acc +. c.cand_cost.(c.cur))
-    cells_involved;
-  List.iter
-    (fun n ->
-      let wnet = t.nets.(n) in
-      acc :=
-        !acc
-        +. (beta *. wnet.weight
-            *. float_of_int (net_hpwl_with t ~cell:(-1) ~cand:0 wnet)))
-    nets;
-  List.iter
-    (fun pi -> acc := !acc -. pair_gain_with t ~cell:(-1) ~cand:0 t.pairs.(pi))
-    pairs;
-  !acc
+(* Right cascade, mirrored: the next intruder is the first cell starting
+   at or right of the target that owns a site of [lim, required - 1],
+   where [lim] is the previous intruder's old end. *)
+let rec shove_right t ~moving ~row ~a ~required ~lim =
+  let base = site_idx t ~site:0 ~row in
+  let o = owner_up t ~moving ~a (base + lim) (base + required - 1) in
+  o < 0
+  || begin
+    let c = t.cells.(o) in
+    let k = cand_at t o ~site:required ~row in
+    t.scratch.plan_len < max_plan_moves
+    && k >= 0
+    && begin
+      stage t.scratch o k;
+      shove_right t ~moving ~row ~a ~required:(required + c.width)
+        ~lim:(c.cands.(c.cur).site + c.width)
+    end
+  end
 
-let plan_delta t plan =
-  let saved = List.map (fun (cell, _) -> (cell, t.cells.(cell).cur)) plan in
-  let cells_involved = List.map fst plan in
-  let nets, pairs = plan_affected t plan in
-  let before = eval_affected t nets pairs cells_involved in
-  apply_plan t plan;
-  let after = eval_affected t nets pairs cells_involved in
-  apply_plan t saved;
-  after -. before
-
-let max_plan_moves = 8
-
-let shove_plan t ~cell ~cand =
+(* The staged footprints tile [left end, right end) without gaps or
+   overlap, and every cell owning a site there is staged, so the plan
+   leaves the window overlap-free; no occupancy check is needed. *)
+let[@vm1.hot] shove_plan t ~cell ~cand =
   let c = t.cells.(cell) in
   let target = c.cands.(cand) in
-  let row = target.row in
-  let a = target.site and b = target.site + c.width in
-  (* candidate lookup preserving a cell's current orientation and row *)
-  let cand_at idx ~site =
-    let cc = t.cells.(idx) in
-    let orient = cc.cands.(cc.cur).orient in
-    Hashtbl.find_opt t.cand_index.(idx) (encode_cand t ~site ~row ~orient)
+  let s = t.scratch in
+  s.plan_len <- 0;
+  stage s cell cand;
+  let a = target.site in
+  shove_left t ~moving:cell ~row:target.row ~a ~required:a ~lim:a
+  && shove_right t ~moving:cell ~row:target.row ~a ~required:(a + c.width)
+       ~lim:a
+
+let staged_plan t =
+  let s = t.scratch in
+  List.init s.plan_len (fun i ->
+      let j = s.plan_len - 1 - i in
+      (s.plan.(2 * j), s.plan.((2 * j) + 1)))
+
+let keep_plan t =
+  let s = t.scratch in
+  Array.blit s.plan 0 s.kept 0 (2 * s.plan_len);
+  s.kept_len <- s.plan_len
+
+(* Newest move first, as [staged_plan] lists them; each cell moves once,
+   so the end state does not depend on the order. *)
+let[@vm1.hot] apply_kept_plan t =
+  let s = t.scratch in
+  for i = s.kept_len - 1 downto 0 do
+    apply t ~cell:s.kept.(2 * i) ~cand:s.kept.((2 * i) + 1)
+  done;
+  s.kept_len
+
+(* sort [ids.(lo .. hi - 1)] ascending, drop duplicates; the new end *)
+let rec sift ids lo j v =
+  if j > lo && ids.(j - 1) > v then begin
+    ids.(j) <- ids.(j - 1);
+    sift ids lo (j - 1) v
+  end
+  else ids.(j) <- v
+
+let rec dedup ids i w hi =
+  if i >= hi then w
+  else if ids.(i) = ids.(w - 1) then dedup ids (i + 1) w hi
+  else begin
+    ids.(w) <- ids.(i);
+    dedup ids (i + 1) (w + 1) hi
+  end
+
+let sort_unique ids lo hi =
+  for i = lo + 1 to hi - 1 do
+    sift ids lo i ids.(i)
+  done;
+  if hi > lo then dedup ids (lo + 1) (lo + 1) hi else hi
+
+(* gather the incidence rows [start]/[row] of the staged cells from the
+   [i]th on into [ids] at [w]; the end, once sorted and deduplicated *)
+let rec gather t start row lo i w =
+  let s = t.scratch in
+  if i = s.plan_len then sort_unique s.ids lo w
+  else begin
+    let cell = s.plan.(2 * i) in
+    let n = start.(cell + 1) - start.(cell) in
+    Array.blit row start.(cell) s.ids w n;
+    gather t start row lo (i + 1) (w + n)
+  end
+
+(* cand_cost over the staged cells, newest first, then the affected nets
+   and pairs in ascending id order: a fixed summation order, so the delta
+   is bit-reproducible *)
+let eval_staged t ~nets_end ~pairs_end =
+  let s = t.scratch in
+  let acc = s.acc in
+  acc.(0) <- 0.0;
+  for i = s.plan_len - 1 downto 0 do
+    let c = t.cells.(s.plan.(2 * i)) in
+    acc.(0) <- acc.(0) +. c.cand_cost.(c.cur)
+  done;
+  for i = 0 to nets_end - 1 do
+    acc.(0) <- acc.(0) +. net_cost t no_xy no_cell 0 s.ids.(i)
+  done;
+  for i = nets_end to pairs_end - 1 do
+    acc.(0) <- acc.(0) -. pair_gain t no_xy no_cell 0 s.ids.(i)
+  done;
+  acc.(0)
+
+let[@vm1.hot] plan_delta t =
+  let s = t.scratch in
+  let nets_end = gather t t.cell_net_start t.cell_nets 0 0 0 in
+  let pairs_end =
+    gather t t.cell_pair_start t.cell_pairs nets_end 0 nets_end
   in
-  (* movable cells currently in the target row, except the moving one;
-     only cells with a candidate in the row can be there *)
-  let in_row = ref [] in
-  List.iter
-    (fun idx ->
-      if idx <> cell then begin
-        let cc = t.cells.(idx) in
-        let cur = cc.cands.(cc.cur) in
-        if cur.row = row then in_row := (idx, cur.site, cc.width) :: !in_row
-      end)
-    t.row_cells.(row - t.row_lo);
-  let asc = List.sort (fun (_, s1, _) (_, s2, _) -> Int.compare s1 s2) !in_row in
-  let desc = List.rev asc in
-  let moves = ref [ (cell, cand) ] in
-  let count = ref 1 in
-  let exception Fail in
-  try
-    (* left cascade: cells starting left of the target whose right edge
-       intrudes past [required] slide left, nearest first *)
-    let required = ref a in
-    List.iter
-      (fun (idx, site, width) ->
-        if site < a && site + width > !required then begin
-          let new_site = !required - width in
-          incr count;
-          if !count > max_plan_moves then raise Fail;
-          match cand_at idx ~site:new_site with
-          | Some k ->
-            moves := (idx, k) :: !moves;
-            required := new_site
-          | None -> raise Fail
-        end)
-      desc;
-    (* right cascade *)
-    let required = ref b in
-    List.iter
-      (fun (idx, site, width) ->
-        if site >= a && site < !required && site + width > a then begin
-          let new_site = !required in
-          incr count;
-          if !count > max_plan_moves then raise Fail;
-          match cand_at idx ~site:new_site with
-          | Some k ->
-            moves := (idx, k) :: !moves;
-            required := new_site + width
-          | None -> raise Fail
-        end)
-      asc;
-    (* verify the final configuration is overlap-free by testing against
-       occupancy with all planned cells lifted *)
-    List.iter
-      (fun (idx, _) ->
-        let cc = t.cells.(idx) in
-        let cur = cc.cands.(cc.cur) in
-        bump t.occ t ~site:cur.site ~row:cur.row ~width:cc.width (-1))
-      !moves;
-    let ok =
-      List.for_all
-        (fun (idx, k) ->
-          let cc = t.cells.(idx) in
-          let nc = cc.cands.(k) in
-          footprint_free t.occ t ~site:nc.site ~row:nc.row ~width:cc.width)
-        !moves
-      (* the planned footprints must also be mutually disjoint; test by
-         marking incrementally *)
-      &&
-      let rec place = function
-        | [] -> true
-        | (idx, k) :: rest ->
-          let cc = t.cells.(idx) in
-          let nc = cc.cands.(k) in
-          if footprint_free t.occ t ~site:nc.site ~row:nc.row ~width:cc.width
-          then begin
-            bump t.occ t ~site:nc.site ~row:nc.row ~width:cc.width 1;
-            let r = place rest in
-            bump t.occ t ~site:nc.site ~row:nc.row ~width:cc.width (-1);
-            r
-          end
-          else false
-      in
-      place !moves
-    in
-    List.iter
-      (fun (idx, _) ->
-        let cc = t.cells.(idx) in
-        let cur = cc.cands.(cc.cur) in
-        bump t.occ t ~site:cur.site ~row:cur.row ~width:cc.width 1)
-      !moves;
-    if ok then Some !moves else None
-  with Fail ->
-    (* restore any lifted footprints is unnecessary here: Fail is raised
-       only before the lifting phase *)
-    None
-
-(* Objective credit of [cell]'s pairs if it sat at [cand]: used to decide
-   which blocked candidates are worth a shove attempt. *)
-let cell_pair_gain_at t ~cell ~cand =
-  List.fold_left
-    (fun acc pi -> acc +. pair_gain_with t ~cell ~cand t.pairs.(pi))
-    0.0 t.cell_pairs.(cell)
-
-(* --- raw occupancy primitives for the exact search, which lifts every
-   movable cell and re-places them one at a time --- *)
-
-let lift t ~cell =
-  let c = t.cells.(cell) in
-  let cur = c.cands.(c.cur) in
-  bump t.occ t ~site:cur.site ~row:cur.row ~width:c.width (-1)
-
-let drop t ~cell =
-  let c = t.cells.(cell) in
-  let cur = c.cands.(c.cur) in
-  bump t.occ t ~site:cur.site ~row:cur.row ~width:c.width 1
-
-let footprint_free_at t ~cell ~cand =
-  let c = t.cells.(cell) in
-  let nc = c.cands.(cand) in
-  footprint_free t.occ t ~site:nc.site ~row:nc.row ~width:c.width
-
-let set_cur t ~cell ~cand = t.cells.(cell).cur <- cand
+  let before = eval_staged t ~nets_end ~pairs_end in
+  for i = s.plan_len - 1 downto 0 do
+    let cell = s.plan.(2 * i) in
+    s.saved.(i) <- t.cells.(cell).cur;
+    apply t ~cell ~cand:s.plan.((2 * i) + 1)
+  done;
+  let after = eval_staged t ~nets_end ~pairs_end in
+  for i = s.plan_len - 1 downto 0 do
+    apply t ~cell:s.plan.(2 * i) ~cand:s.saved.(i)
+  done;
+  after -. before
 
 (* --- assignments and clones (the solver-portfolio substrate) --- *)
 
@@ -730,5 +907,16 @@ let clone t =
   {
     t with
     cells = Array.map (fun (c : cell) -> { c with cur = c.cur }) t.cells;
+    pins = Array.copy t.pins;
     occ = Bytes.copy t.occ;
+    owner = Array.copy t.owner;
+    scratch =
+      {
+        t.scratch with
+        acc = Array.copy t.scratch.acc;
+        plan = Array.copy t.scratch.plan;
+        kept = Array.copy t.scratch.kept;
+        saved = Array.copy t.scratch.saved;
+        ids = Array.copy t.scratch.ids;
+      };
   }

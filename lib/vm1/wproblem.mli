@@ -16,27 +16,68 @@ type candidate = {
   orient : Geom.Orient.t;
 }
 
+(** {2 Table layout}
+
+    The evaluation state is packed int tables that {!extract} writes
+    directly; the solver kernels read them with index loops and allocate
+    nothing.
+
+    - {b Candidate coordinates}: [cell.xy] holds, for candidate [k] and
+      master pin [j], the pin's [ax], [x_lo], [x_hi], [y] (the fields of
+      {!Align.pin_geom}, in that order) at [((k * npins) + j) * 4].
+    - {b Window pins}: every pin of every window net, net by net, is one
+      record of {!pin_stride} ints in [pins]: owner (the movable cell, or
+      -1 when fixed), slot ([4 * j] for master pin [j]: its offset in a
+      candidate block of the owner's [xy]), then its current [ax],
+      [x_lo], [x_hi], [y]. A fixed pin's coordinates never change; a
+      movable pin's are its owner's current candidate's, kept up to date
+      by {!apply} and {!set_cur}.
+    - {b Nets} in CSR (compressed sparse row) form: net [n]'s pins are
+      window pins [net_start.(n)] to [net_start.(n + 1) - 1], in the
+      design net's pin order; nets ascend by design id.
+    - {b Pairs}: pair [q] is window pins [pair_pins.(2q)] and
+      [pair_pins.(2q + 1)].
+    - {b Incidence}, CSR per cell: [cell_nets] and [cell_pairs] list each
+      cell's nets and pairs in descending id order (the order
+      {!local_cost} sums them in), [cell_pins] its window pins.
+    - {b Occupancy}: [occ] counts occupants per window site (row-major,
+      [bw] sites a row); [owner] names the movable cell on each site, or
+      -1.
+
+    {b Owner-map invariant}: between plans, every site a movable cell's
+    current footprint covers is [owner]ed by that cell, and every other
+    site is -1. {!lift} clears only the sites the cell still owns. That
+    is exact because every plan and assignment moves each cell at most
+    once and ends with no overlap, so a site that another cell moved onto
+    before this one left keeps its new owner. The input placement must be
+    legal, as the flow's always is. *)
+
 type cell = {
   inst : int;
   width : int;  (** sites *)
+  npins : int;  (** master pins *)
   cands : candidate array;  (** index 0 is the input position *)
-  geoms : Align.pin_geom array array;  (** candidate -> master pin -> geometry *)
+  xy : int array;  (** candidate pin coordinates, see the layout above *)
+  lattice : int array;
+  (** candidate index by (orientation group, row offset, site offset)
+      from candidate 0, or -1: the ripple moves' lookup *)
+  at : int array;  (** candidate -> occupancy index of its first site *)
   cand_cost : float array;
   (** static per-candidate objective penalty; used by the
       congestion-aware extension to tax candidates in hot routing tiles *)
   mutable cur : int;
 }
 
-type wpin = {
-  pr : Netlist.Design.pin_ref;
-  owner : int;  (** movable cell index, or -1 when fixed *)
-  fixed_geom : Align.pin_geom;  (** valid when [owner] = -1 *)
-}
-
-type wnet = {
-  net_id : int;
-  weight : float;  (** the per-net beta_n multiplier from [Params] *)
-  wpins : wpin array;
+(** Solver scratch: the kernels' float accumulator and the ripple-plan
+    buffers. Private to one problem; a {!clone} gets its own. *)
+type scratch = {
+  acc : float array;
+  plan : int array;
+  mutable plan_len : int;
+  kept : int array;
+  mutable kept_len : int;
+  saved : int array;
+  ids : int array;
 }
 
 type t = {
@@ -47,18 +88,30 @@ type t = {
   row_lo : int;
   bw : int;  (** window width, sites *)
   bh : int;  (** window height, rows *)
+  move_s : int;  (** candidate site offsets span [-move_s, move_s] *)
+  move_r : int;  (** candidate row offsets span [-move_r, move_r] *)
   cells : cell array;
-  nets : wnet array;
-  pairs : (wpin * wpin) array;
-  cell_nets : int list array;   (** local net indices touching each cell *)
-  cell_pairs : int list array;  (** pair indices touching each cell *)
+  net_weight : float array;  (** the per-net beta_n multiplier from [Params] *)
+  net_start : int array;
+  pins : int array;
+  pair_pins : int array;
+  cell_net_start : int array;
+  cell_nets : int array;
+  cell_pair_start : int array;
+  cell_pairs : int array;
+  cell_pin_start : int array;
+  cell_pins : int array;
   occ : Bytes.t;  (** bw x bh per-site occupant count (fixed + movable) *)
+  owner : int array;  (** bw x bh movable owner per site, or -1 *)
   fixed_occ : Bytes.t;  (** fixed blockage only *)
-  cand_index : (int, int) Hashtbl.t array;  (** encoded candidate -> index *)
-  row_cells : int list array;
-  (** window row -> the cells with any candidate in that row, ascending;
-      immutable, and a superset of the cells currently in the row *)
+  scratch : scratch;
 }
+
+(** Ints per window-pin record in [pins]. *)
+val pin_stride : int
+
+(** [num_pairs t] is the number of pre-filtered pin pairs. *)
+val num_pairs : t -> int
 
 (** [row_index placement] buckets instance ids by their current row.
     Sharing one index across the windows of a batch (positions are
@@ -81,9 +134,6 @@ val extract :
   site_lo:int -> row_lo:int -> bw:int -> bh:int ->
   movable:int list -> lx:int -> ly:int ->
   allow_flip:bool -> allow_move:bool -> t
-
-(** [pin_geom t wp] is the pin's geometry in the problem's current state. *)
-val pin_geom : t -> wpin -> Align.pin_geom
 
 (** [objective t] is the window-local objective:
     beta * sum HPWL(nets) - sum pair_gain(pairs). *)
@@ -118,36 +168,53 @@ val local_cost : t -> cell:int -> cand:int -> float
     [cand] with everything else at its current position. *)
 val move_delta : t -> cell:int -> cand:int -> float
 
-(** [apply t ~cell ~cand] moves the cell (updates occupancy and [cur]). *)
+(** [apply t ~cell ~cand] moves the cell (updates occupancy, the owner
+    map, its pins' coordinates and [cur]). *)
 val apply : t -> cell:int -> cand:int -> unit
-
-(** Multi-cell plans (ripple moves): a plan is a list of (cell, candidate)
-    moves applied together. [shove_plan t ~cell ~cand] tries to make the
-    (possibly occupied) candidate feasible by pushing same-row neighbours
-    sideways within their own candidate sets — the coordinated moves the
-    MILP finds natively. Returns the full plan (including the triggering
-    move) or [None]. *)
-val shove_plan : t -> cell:int -> cand:int -> (int * int) list option
-
-(** [plan_delta t plan] is the objective change of applying the plan
-    (evaluated by applying and reverting). *)
-val plan_delta : t -> (int * int) list -> float
-
-val apply_plan : t -> (int * int) list -> unit
 
 (** [cell_pair_gain_at t ~cell ~cand] is the summed pair gain of the
     cell's incident pairs if it sat at [cand] — used to pick which
     occupied candidates deserve a shove attempt. *)
 val cell_pair_gain_at : t -> cell:int -> cand:int -> float
 
+(** {2 Ripple moves}
+
+    Multi-cell plans: a plan is a set of (cell, candidate) moves applied
+    together. [shove_plan t ~cell ~cand] tries to make the (possibly
+    occupied) candidate feasible by pushing same-row neighbours sideways
+    within their own candidate sets — the coordinated moves the MILP
+    finds natively. It walks the owner map outward from the target and
+    stops at the first cell that does not intrude, so its cost grows
+    with the plan, not the row. On success it stages the full plan
+    (including the triggering move) in the problem's plan buffer and
+    returns true. *)
+val shove_plan : t -> cell:int -> cand:int -> bool
+
+(** [staged_plan t] is the staged plan as a list, newest move first. *)
+val staged_plan : t -> (int * int) list
+
+(** [plan_delta t] is the objective change of applying the staged plan
+    (evaluated by applying and reverting it). *)
+val plan_delta : t -> float
+
+(** [keep_plan t] saves the staged plan; [apply_kept_plan t] applies the
+    saved one and returns its number of moves. *)
+val keep_plan : t -> unit
+
+val apply_kept_plan : t -> int
+
+(** [apply_plan t plan] applies a list plan in order. *)
+val apply_plan : t -> (int * int) list -> unit
+
 (** [commit t] writes the current candidates back into the placement. *)
 val commit : t -> unit
 
 (** Raw occupancy primitives for exhaustive search: [lift]/[drop] remove
-    or add a cell's current footprint; [footprint_free_at] checks a
-    candidate against the occupancy as-is (no self-lifting); [set_cur]
-    changes the chosen candidate without touching occupancy. Callers must
-    keep occupancy consistent themselves. *)
+    or add a cell's current footprint (occupancy and owner map);
+    [footprint_free_at] checks a candidate against the occupancy as-is
+    (no self-lifting); [set_cur] changes the chosen candidate and its
+    pins' coordinates without touching occupancy. Callers must keep
+    occupancy consistent themselves. *)
 val lift : t -> cell:int -> unit
 
 val drop : t -> cell:int -> unit
@@ -166,9 +233,10 @@ val assignment : t -> int array
     @raise Invalid_argument on an arity mismatch. *)
 val set_assignment : t -> int array -> unit
 
-(** [clone t] is an independently-solvable copy: private cell states and
-    occupancy, shared immutable structure (candidates, geometries, nets,
-    pairs, fixed blockage, row index). The solver portfolio runs its
+(** [clone t] is an independently-solvable copy: private cell states,
+    pin coordinates, occupancy, owner map and scratch; shared immutable
+    structure (candidates and their coordinates, nets, pairs, incidence,
+    fixed blockage). The solver portfolio runs its
     exhaustive search on a clone; clones must never be {!commit}ted
     (they share the placement with the original). *)
 val clone : t -> t
