@@ -511,16 +511,19 @@ let route ?(config = default_config) (p : Place.Placement.t) =
   in
   let design = p.Place.Placement.design in
   let signal = Netlist.Design.signal_nets design in
-  (* shorter nets first: they have fewer detour options *)
+  (* shorter nets first: they have fewer detour options. Each net's HPWL
+     is computed once and the (hpwl, net) pairs sorted stably, so nets
+     of equal length stay in [signal_nets] order. *)
   let order =
-    List.sort
-      (fun a b -> Int.compare (Place.Hpwl.net p a) (Place.Hpwl.net p b))
-      signal
+    List.stable_sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.map (fun nid -> (Place.Hpwl.net p nid, nid)) signal)
   in
   let routes =
     Array.of_list
       (List.map
-         (fun nid -> { net_id = nid; subnets = decompose p design.nets.(nid) })
+         (fun (_, nid) ->
+           { net_id = nid; subnets = decompose p design.nets.(nid) })
          order)
   in
   Obs.add_attr "nets" (`Int (Array.length routes));

@@ -1,5 +1,11 @@
 type outcome = Hit | Miss
 
+type master = {
+  placement : Place.Placement.t;
+  init : Report.Flow.eval;
+  clock_ps : float;
+}
+
 (* One store per artifact type: a Hashtbl used strictly as a key-value
    map (find/replace only, never iterated — hash order can leak into
    nothing) plus plain hit/miss tallies. Single-domain by contract; see
@@ -13,8 +19,8 @@ type 'a store = {
 type t = {
   libraries : Pdk.Libgen.t store;
   netlists : Netlist.Design.t store;
-  placements : Place.Placement.t store;
-  externals : Place.Placement.t store;
+  placements : master store;
+  externals : master store;
   skeletons : Route.Grid.skeleton store;
 }
 
@@ -62,16 +68,30 @@ let netlist t ~lib ~name ~arch ~scale =
   lookup t.netlists (netlist_key ~name ~arch ~scale) (fun () ->
       Netlist.Designs.make ~lib ~scale name arch)
 
+(* The baseline evaluation reads the parameters only through
+   [Objective.counts] (gamma, closed_gamma, delta and the net weights),
+   which no job overrides, so the default parameters give every job's
+   [init]. The route is built without the grid skeleton: the skeleton
+   only replaces a blockage install with a copy of the same bytes, and
+   resolving it here would add a second grid lookup to a cold job. *)
+let master_of placement =
+  let init, clock_ps =
+    Report.Flow.evaluate
+      (Vm1.Params.default placement.Place.Placement.tech)
+      placement
+  in
+  { placement; init; clock_ps }
+
 let placement t ~design ~name ~arch ~scale ~utilization =
   let key =
     Printf.sprintf "%s/u%.17g" (netlist_key ~name ~arch ~scale) utilization
   in
   lookup t.placements key (fun () ->
-      Report.Flow.prepare_placement ~utilization design)
+      master_of (Report.Flow.prepare_placement ~utilization design))
 
 (* A rejected DEF counts as a miss but is never stored: only placements
    that survived binding and the legality oracle enter the table, so a
-   hit can skip both. *)
+   hit can skip both, and only those are routed for their baseline. *)
 let external_placement t ~lib ~arch ~def_text =
   let key =
     Pdk.Cell_arch.to_string arch ^ "/"
@@ -84,7 +104,7 @@ let external_placement t ~lib ~arch ~def_text =
         | Stdlib.Ok (design, pl) -> (
           let p = Place.Placement.of_def design pl in
           match Place.Legalize.check p with
-          | [] -> p
+          | [] -> master_of p
           | v :: _ -> raise (Rejected ("illegal placement: " ^ v))))
   with
   | pair -> Stdlib.Ok pair

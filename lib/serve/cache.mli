@@ -1,13 +1,17 @@
 (** Content-keyed caches for the immutable cross-job artifacts of the
     batch service.
 
-    Every one-shot run of the flow pays four start-up costs that do not
+    Every one-shot run of the flow pays start-up costs that do not
     depend on anything a job may mutate: generating the standard-cell
     library of an architecture, generating a netlist, computing the
-    converged input placement the optimiser starts from, and installing
-    the power-grid blockage of the routing grid. A cache holds each of
-    these keyed by the parameters that determine its content, so a
-    daemon serving many jobs pays them once.
+    converged input placement the optimiser starts from together with
+    its routed baseline evaluation (Table 2's [init] columns), and
+    installing the power-grid blockage of the routing grid. A cache
+    holds each of these keyed by the parameters that determine its
+    content, so a daemon serving many jobs pays them once. The baseline
+    is a property of the input placement alone — a job's [alpha],
+    [sequence] and solver act only on the optimised placement — so it
+    lives in the same entry as its placement.
 
     The soundness argument has two halves, and both are load-bearing:
 
@@ -18,15 +22,16 @@
     - {b Generation is deterministic.} Every generator behind a cache
       is a pure function of the key, so a hit returns exactly what a
       miss would have computed — cold, warm and interleaved service are
-      byte-identical (checked by [test/test_serve.ml] and the
-      [bench load] gate).
+      byte-identical (checked by the "cold=warm bytes" and baseline
+      reuse cases of [test/test_serve.ml]).
 
     A cache is confined to the domain that owns it: the daemon resolves
     artifacts on the submitting thread {e before} a job fans out to the
     pool, which is what keeps this module free of locks (and of the
-    [domain-prims] lint rule). Hits and misses are counted both per
-    store ({!stats}) and in the [serve.cache_hits] / [serve.cache_misses]
-    observability counters. *)
+    [domain-prims] lint rule). A miss computes its artifact, the
+    baseline route included, on that thread too. Hits and misses are
+    counted both per store ({!stats}) and in the [serve.cache_hits] /
+    [serve.cache_misses] observability counters. *)
 
 type t
 
@@ -37,6 +42,16 @@ type outcome = Hit | Miss
     legality oracle; {!external_placement} catches it and returns the
     message as [Error] — it never escapes this module. *)
 exception Rejected of string
+
+(** A cached input placement with its baseline evaluation. *)
+type master = {
+  placement : Place.Placement.t;  (** shared: copy before mutating *)
+  init : Report.Flow.eval;
+  (** [Report.Flow.evaluate] of [placement] under
+      [Vm1.Params.default]: the routed, timed baseline every job on
+      this placement reports as [init] *)
+  clock_ps : float;  (** the clock period that evaluation derived *)
+}
 
 val create : unit -> t
 
@@ -56,28 +71,30 @@ val netlist :
 
 (** [placement t ~design ~name ~arch ~scale ~utilization] is the
     prepared input placement ([Report.Flow.prepare_placement]: global
-    place + row-DP baseline), keyed by the netlist key plus the
-    utilisation. [design] (from {!netlist}, same key fields) is used
-    only on a miss. The returned placement is the shared master —
-    callers must [Place.Placement.copy] it and never mutate it. *)
+    place + row-DP baseline) with its baseline evaluation, keyed by the
+    netlist key plus the utilisation. [design] (from {!netlist}, same
+    key fields) is used only on a miss. The returned placement is the
+    shared master — callers must [Place.Placement.copy] it and never
+    mutate it. *)
 val placement :
   t -> design:Netlist.Design.t -> name:Netlist.Designs.name ->
   arch:Pdk.Cell_arch.t -> scale:int -> utilization:float ->
-  Place.Placement.t * outcome
+  master * outcome
 
 (** [external_placement t ~lib ~arch ~def_text] is the placement of an
     external-DEF job, keyed by (architecture, MD5 of the DEF text): the
     text is ingested through [Io.Def.read] against [lib] (from
     {!library}, same [arch]), mapped onto a placement and checked by
-    the legality oracle ([Place.Legalize.check]). [Error] — a parse,
-    binding or legality failure, as a human-readable string — is the
-    client's fault ([bad_request] on the wire) and is never cached: a
-    rejected DEF counts as a miss and re-validates on every submission.
-    The returned placement is a shared master — callers must
-    [Place.Placement.copy] it and never mutate it. *)
+    the legality oracle ([Place.Legalize.check]), then evaluated for
+    its baseline. [Error] — a parse, binding or legality failure, as a
+    human-readable string — is the client's fault ([bad_request] on the
+    wire) and is never cached: a rejected DEF counts as a miss and
+    re-validates on every submission. The returned placement is a
+    shared master — callers must [Place.Placement.copy] it and never
+    mutate it. *)
 val external_placement :
   t -> lib:Pdk.Libgen.t -> arch:Pdk.Cell_arch.t -> def_text:string ->
-  (Place.Placement.t * outcome, string) Stdlib.result
+  (master * outcome, string) Stdlib.result
 
 (** [grid_skeleton t p] is the routing-grid blockage skeleton for [p]'s
     die, keyed by {!Route.Grid.skeleton_key} (die tracks, architecture,

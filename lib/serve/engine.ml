@@ -1,5 +1,5 @@
 type artifacts = {
-  master : Place.Placement.t;  (** shared, read-only: copy before use *)
+  master : Cache.master;  (** shared, read-only: copy before use *)
   skeleton : Route.Grid.skeleton;
   resolved : (string * bool) list;  (** per-store outcome, for the reply *)
 }
@@ -36,7 +36,9 @@ let prepare cache (job : Protocol.job) =
           Cache.placement cache ~design:netlist ~name:design ~arch:job.arch
             ~scale ~utilization:util
         in
-        let skeleton, g_o = Cache.grid_skeleton cache master in
+        let skeleton, g_o =
+          Cache.grid_skeleton cache master.Cache.placement
+        in
         Ok
           {
             master;
@@ -68,7 +70,9 @@ let prepare cache (job : Protocol.job) =
           with
           | Error msg -> bad_request ("DEF rejected: " ^ msg)
           | Ok (master, e_o) ->
-            let skeleton, g_o = Cache.grid_skeleton cache master in
+            let skeleton, g_o =
+              Cache.grid_skeleton cache master.Cache.placement
+            in
             Ok
               {
                 master;
@@ -125,7 +129,7 @@ let placement_digest (p : Place.Placement.t) =
 let wcache_slot = Exec.Dls.create (fun () -> Vm1.Wcache.create ())
 
 let run_flow (job : Protocol.job) (a : artifacts) =
-  let q = Place.Placement.copy a.master in
+  let q = Place.Placement.copy a.master.Cache.placement in
   let params =
     let base = Vm1.Params.default q.Place.Placement.tech in
     match job.alpha with
@@ -142,9 +146,13 @@ let run_flow (job : Protocol.job) (a : artifacts) =
       parallel = false;
       wcache = Vm1.Vm1_opt.Shared_wcache (Exec.Dls.get wcache_slot) }
   in
-  let init, clock_ps = Report.Flow.evaluate ~router_config params q in
+  (* the baseline came with the master (see Cache): only the optimised
+     placement is routed here *)
   let (_ : Vm1.Vm1_opt.report) = Vm1.Vm1_opt.run ~config params q in
-  let final, _ = Report.Flow.evaluate ~clock_ps ~router_config params q in
+  let final, _ =
+    Report.Flow.evaluate ~clock_ps:a.master.Cache.clock_ps ~router_config
+      params q
+  in
   let r_scale, r_util =
     match job.source with
     | Protocol.Generated { scale; util; _ } -> (Some scale, Some util)
@@ -160,7 +168,7 @@ let run_flow (job : Protocol.job) (a : artifacts) =
     r_alpha = params.Vm1.Params.alpha;
     r_sequence = job.sequence;
     instances = Place.Placement.num_instances q;
-    init;
+    init = a.master.Cache.init;
     final;
     digest = placement_digest q;
   }

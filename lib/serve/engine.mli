@@ -4,7 +4,9 @@
     The two-phase shape is the point of the module. {!prepare} runs on
     the submitting domain and is the only code that touches the
     {!Cache} — everything it hands over (library, netlist, master
-    placement, grid skeleton) is immutable from then on. {!execute} is
+    placement with its baseline evaluation, grid skeleton) is immutable
+    from then on. A cache miss computes its artifact there, so a cold
+    job's baseline route runs on the submitting domain. {!execute} is
     safe to run on a pool worker: it copies the master placement and
     mutates only that copy, so any number of jobs can be in flight at
     once and a job's result is independent of what runs next to it.
@@ -23,13 +25,14 @@ type prepared
 val prepare : Cache.t -> Protocol.job -> prepared
 
 (** [execute p] runs the optimisation flow for a prepared job:
-    copy the master placement, evaluate, [Vm1.Vm1_opt.run], re-evaluate,
-    digest. The reply's [latency_ms] covers artifact resolution plus
-    execution. When the job asked for a trace, observability is
-    force-enabled around the run and the reply carries a
-    [vm1dp-trace/1] blob of the job's root spans (see PROTOCOL.md for
-    the isolation caveats); traced jobs are meant to run alone —
-    the daemon drains in-flight work first. *)
+    copy the master placement, [Vm1.Vm1_opt.run], evaluate, digest. The
+    reply's [init] is the master's cached baseline evaluation. The
+    reply's [latency_ms] covers artifact resolution (a cold job's
+    baseline route included) plus execution. When the job asked for a
+    trace, observability is force-enabled around the run and the reply
+    carries a [vm1dp-trace/1] blob of the job's root spans (see
+    PROTOCOL.md for the isolation caveats); traced jobs are meant to run
+    alone — the daemon drains in-flight work first. *)
 val execute : prepared -> Protocol.reply
 
 (** [run cache job] is [execute (prepare cache job)] — the one-call

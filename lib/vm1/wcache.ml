@@ -127,29 +127,58 @@ let add_str b s =
   add_int b (String.length s);
   Buffer.add_string b s
 
+let orient_code = function
+  | Geom.Orient.N -> 0
+  | Geom.Orient.FN -> 1
+  | Geom.Orient.S -> 2
+  | Geom.Orient.FS -> 3
+
+(* A candidate as one int: site offset, then row offset biased into
+   [row_bits] bits, then the 2-bit orientation code. Distinct
+   candidates pack to distinct ints while row offsets stay within
+   +-2^(row_bits - 1) of the window's low row, far beyond any die. *)
+let row_bits = 20
+let row_bias = 1 lsl (row_bits - 1)
+
+let pack_cand ~ds ~dr o =
+  if dr < -row_bias || dr >= row_bias then
+    invalid_arg "Wcache.key: row offset out of range";
+  (((ds lsl row_bits) lor (dr + row_bias)) lsl 2) lor orient_code o
+
 let key ~mode (p : Wproblem.t) =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create 1024 in
   let tech = p.Wproblem.placement.Place.Placement.tech in
   let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
   let x0 = p.Wproblem.site_lo * sw and y0 = p.Wproblem.row_lo * rh in
   (* The per-candidate geometry tables are a pure function of the master's
      local pin shapes, the tech pitches and the (serialized) candidate
      lattice — placed geometry is affine in the cell origin — so the
-     master shapes stand in for them, one copy per cell instead of one
-     geometry per candidate x pin. *)
+     master shapes stand in for them. Each cell names its master by its
+     index in this window's first-appearance order, and a master's
+     shapes follow its first appearance only. A window's masters come
+     from one library, whose names are unique, so the name identifies
+     the shapes. *)
+  let masters = ref [] and n_masters = ref 0 in
   let add_master (m : Pdk.Stdcell.t) =
-    add_str b m.Pdk.Stdcell.name;
-    List.iter
-      (fun (pin : Pdk.Stdcell.pin) ->
-        List.iter
-          (fun (layer, (r : Geom.Rect.t)) ->
-            add_str b (Pdk.Layer.to_string layer);
-            add_int b r.Geom.Rect.lx;
-            add_int b r.Geom.Rect.ly;
-            add_int b r.Geom.Rect.hx;
-            add_int b r.Geom.Rect.hy)
-          pin.Pdk.Stdcell.shapes)
-      m.Pdk.Stdcell.pins
+    let name = m.Pdk.Stdcell.name in
+    match List.assoc_opt name !masters with
+    | Some i -> add_int b i
+    | None ->
+      add_int b !n_masters;
+      masters := (name, !n_masters) :: !masters;
+      incr n_masters;
+      add_str b name;
+      List.iter
+        (fun (pin : Pdk.Stdcell.pin) ->
+          List.iter
+            (fun (layer, (r : Geom.Rect.t)) ->
+              add_str b (Pdk.Layer.to_string layer);
+              add_int b r.Geom.Rect.lx;
+              add_int b r.Geom.Rect.ly;
+              add_int b r.Geom.Rect.hx;
+              add_int b r.Geom.Rect.hy)
+            pin.Pdk.Stdcell.shapes)
+        m.Pdk.Stdcell.pins
   in
   let pins = p.Wproblem.pins in
   let add_pin q =
@@ -166,7 +195,21 @@ let key ~mode (p : Wproblem.t) =
       add_int b (pins.(k + 5) - y0)
     end
   in
-  Buffer.add_string b "wkey3";
+  (* candidate penalties are all zero unless a congestion term is on:
+     a flag word says whether their bits follow *)
+  let add_costs costs =
+    let rec any_set k =
+      k < Array.length costs
+      && ((not (Int64.equal (Int64.bits_of_float costs.(k)) 0L))
+         || any_set (k + 1))
+    in
+    if any_set 0 then begin
+      add_int b 1;
+      Array.iter (add_float b) costs
+    end
+    else add_int b 0
+  in
+  Buffer.add_string b "wkey4";
   add_str b (Scp_solver.mode_to_string mode);
   add_int b (if p.Wproblem.is_open then 1 else 0);
   add_int b p.Wproblem.bw;
@@ -190,11 +233,13 @@ let key ~mode (p : Wproblem.t) =
       add_int b (Array.length c.Wproblem.cands);
       Array.iter
         (fun (cand : Wproblem.candidate) ->
-          add_int b (cand.Wproblem.site - p.Wproblem.site_lo);
-          add_int b (cand.Wproblem.row - p.Wproblem.row_lo);
-          add_str b (Geom.Orient.to_string cand.Wproblem.orient))
+          add_int b
+            (pack_cand
+               ~ds:(cand.Wproblem.site - p.Wproblem.site_lo)
+               ~dr:(cand.Wproblem.row - p.Wproblem.row_lo)
+               cand.Wproblem.orient))
         c.Wproblem.cands;
-      Array.iter (add_float b) c.Wproblem.cand_cost)
+      add_costs c.Wproblem.cand_cost)
     p.Wproblem.cells;
   add_int b (Array.length p.Wproblem.net_weight);
   Array.iteri

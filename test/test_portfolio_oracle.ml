@@ -495,6 +495,89 @@ let kernels_match r =
     t.cells;
   !ok
 
+(* The wkey3 window-cache key, as Wcache.key wrote it before candidates
+   were packed, zero candidate costs elided and master shapes written
+   once per window: the key-equivalence properties below check that the
+   current key draws the same equality classes. *)
+let reference_key ~mode (p : W.t) =
+  let b = Buffer.create 4096 in
+  let add_int v = Buffer.add_int64_le b (Int64.of_int v) in
+  let add_float v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  let add_str s =
+    add_int (String.length s);
+    Buffer.add_string b s
+  in
+  let tech = p.placement.Place.Placement.tech in
+  let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
+  let x0 = p.site_lo * sw and y0 = p.row_lo * rh in
+  let add_master (m : Pdk.Stdcell.t) =
+    add_str m.Pdk.Stdcell.name;
+    List.iter
+      (fun (pin : Pdk.Stdcell.pin) ->
+        List.iter
+          (fun (layer, (r : Geom.Rect.t)) ->
+            add_str (Pdk.Layer.to_string layer);
+            add_int r.Geom.Rect.lx;
+            add_int r.Geom.Rect.ly;
+            add_int r.Geom.Rect.hx;
+            add_int r.Geom.Rect.hy)
+          pin.Pdk.Stdcell.shapes)
+      m.Pdk.Stdcell.pins
+  in
+  let add_pin q =
+    let k = q * W.pin_stride in
+    let owner = p.pins.(k) in
+    add_int owner;
+    add_int (p.pins.(k + 1) / 4);
+    if owner < 0 then begin
+      add_int (p.pins.(k + 2) - x0);
+      add_int (p.pins.(k + 3) - x0);
+      add_int (p.pins.(k + 4) - x0);
+      add_int (p.pins.(k + 5) - y0)
+    end
+  in
+  Buffer.add_string b "wkey3";
+  add_str (S.mode_to_string mode);
+  add_int (if p.is_open then 1 else 0);
+  add_int p.bw;
+  add_int p.bh;
+  add_int sw;
+  add_int rh;
+  add_float p.params.Vm1.Params.alpha;
+  add_float p.params.Vm1.Params.beta;
+  add_float p.params.Vm1.Params.epsilon;
+  add_int p.params.Vm1.Params.gamma;
+  add_int p.params.Vm1.Params.closed_gamma;
+  add_int p.params.Vm1.Params.delta;
+  add_int (Array.length p.cells);
+  let design = p.placement.Place.Placement.design in
+  Array.iter
+    (fun (c : W.cell) ->
+      add_int c.width;
+      add_int c.cur;
+      add_master (Netlist.Design.instance_master design c.inst);
+      add_int (Array.length c.cands);
+      Array.iter
+        (fun (cand : W.candidate) ->
+          add_int (cand.site - p.site_lo);
+          add_int (cand.row - p.row_lo);
+          add_str (Geom.Orient.to_string cand.orient))
+        c.cands;
+      Array.iter add_float c.cand_cost)
+    p.cells;
+  add_int (Array.length p.net_weight);
+  Array.iteri
+    (fun n weight ->
+      let first = p.net_start.(n) and stop = p.net_start.(n + 1) in
+      add_float weight;
+      add_int (stop - first);
+      for q = first to stop - 1 do
+        add_pin q
+      done)
+    p.net_weight;
+  Buffer.add_bytes b p.fixed_occ;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* --- random windows and states --- *)
 
 type start =
@@ -523,12 +606,31 @@ let gen_case =
          (int_range 0 10_000) (oneofl [ 0; 0; 2; 3; 5 ]))
       (int_range 1 4) (int_range 0 2) bool bool gen_start (int_range 0 10_000))
 
-let problem_of_case
+(* a copy of [p] with every cell moved by [dx] sites and [dy] rows *)
+let translate (p : Place.Placement.t) ~dx ~dy =
+  let tech = p.tech in
+  let q = Place.Placement.copy p in
+  Array.iteri (fun i x -> q.xs.(i) <- x + (dx * tech.Pdk.Tech.site_width)) p.xs;
+  Array.iteri (fun i y -> q.ys.(i) <- y + (dy * tech.Pdk.Tech.row_height)) p.ys;
+  q
+
+(* [shift] translates the whole placement and the window by (sites,
+   rows), clamped so the window stays inside the die *)
+let problem_of_case ?(shift = (0, 0))
     (design, (bw, bh, pick, keep), lx, ly, allow_flip, allow_move, start, seed)
     =
   let p, params = List.nth (Lazy.force placements) design in
   let ws = Vm1.Window.partition p ~tx:0 ~ty:0 ~bw ~bh in
   let w = ws.(pick mod Array.length ws) in
+  let p, w =
+    match shift with
+    | 0, 0 -> (p, w)
+    | dx, dy ->
+      let dx = min dx (max 0 (p.sites_per_row - (w.site_lo + w.bw)))
+      and dy = min dy (max 0 (p.num_rows - (w.row_lo + w.bh))) in
+      ( translate p ~dx ~dy,
+        { w with site_lo = w.site_lo + dx; row_lo = w.row_lo + dy } )
+  in
   let movable =
     if keep = 0 then w.movable
     else List.filteri (fun i _ -> (i + seed) mod keep <> 0) w.movable
@@ -814,6 +916,165 @@ let prop_state_invariant =
       ignore (S.solve ~mode:`Greedy ~max_passes:1 c);
       !ok && state_matches c && snapshot t = before)
 
+(* --- window-cache key equivalence --- *)
+
+(* [pairs] are (wkey3, current) keys of the same problems: the two keys
+   draw the same equality classes iff each maps functionally onto the
+   other *)
+let same_classes pairs =
+  let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+  let functional tbl a b =
+    match Hashtbl.find_opt tbl a with
+    | Some b' -> String.equal b b'
+    | None ->
+      Hashtbl.add tbl a b;
+      true
+  in
+  List.for_all (fun (o, n) -> functional fwd o n && functional bwd n o) pairs
+
+let both_keys modes ts =
+  List.concat_map
+    (fun mode ->
+      List.map (fun t -> (reference_key ~mode t, Vm1.Wcache.key ~mode t)) ts)
+    modes
+
+let with_cell (t : W.t) i f =
+  { t with cells = Array.mapi (fun j c -> if j = i then f c else c) t.cells }
+
+(* single-field edits of [t]: first those the wkey3 key tells apart
+   from it — the architecture flag, a candidate's site, row or
+   orientation, a non-zero (and a negative-zero) candidate cost, and
+   the cell's master; then two that may collide — a cell given the
+   master of the last cell, and the last two cells trading masters *)
+let edits (t : W.t) =
+  let design = t.placement.Place.Placement.design in
+  let master_name inst =
+    (Netlist.Design.instance_master design inst).Pdk.Stdcell.name
+  in
+  let n = Array.length t.cells in
+  let arch = { t with is_open = not t.is_open } in
+  if n = 0 then ([ arch ], [])
+  else
+    let c0 = t.cells.(0) in
+    let cand_edit f =
+      with_cell t 0 (fun c ->
+          let cands = Array.copy c.cands in
+          let k = Array.length cands - 1 in
+          cands.(k) <- f cands.(k);
+          { c with cands })
+    in
+    let cost v =
+      with_cell t 0 (fun c ->
+          let cand_cost = Array.copy c.cand_cost in
+          cand_cost.(0) <- v;
+          { c with cand_cost })
+    in
+    let other_master =
+      let m = master_name c0.inst in
+      let found = ref None in
+      Array.iteri
+        (fun i _ ->
+          if !found = None && not (String.equal (master_name i) m) then
+            found := Some i)
+        design.Netlist.Design.instances;
+      Option.map (fun inst -> with_cell t 0 (fun c -> { c with inst })) !found
+    in
+    let repeat_master =
+      if n < 2 then []
+      else
+        let last = t.cells.(n - 1) and prev = t.cells.(n - 2) in
+        [
+          with_cell t 0 (fun c -> { c with inst = last.inst });
+          with_cell
+            (with_cell t (n - 1) (fun c -> { c with inst = prev.inst }))
+            (n - 2)
+            (fun c -> { c with inst = last.inst });
+        ]
+    in
+    ( [
+        arch;
+        cand_edit (fun c -> { c with site = c.site + 1 });
+        cand_edit (fun c -> { c with row = c.row + 1 });
+        cand_edit (fun c -> { c with orient = Geom.Orient.flip_y c.orient });
+        cost (if c0.cand_cost.(0) = 0.5 then 0.25 else 0.5);
+        cost (-0.0);
+      ]
+      @ Option.to_list other_master,
+      repeat_master )
+
+(* on the shared generator: the case, a second extraction of it, its
+   translated copy and its single-field edits, keyed under two solver
+   modes, fall into the same classes under both keys; and every
+   separating edit separates from the case *)
+let prop_key_classes_match_wkey3 =
+  QCheck2.Test.make ~name:"window key classes = wkey3 classes" ~count:150
+    ~print:(fun (case, (dx, dy)) ->
+      Printf.sprintf "%s shift=(%d,%d)" (print_case case) dx dy)
+    QCheck2.Gen.(pair gen_case (pair (int_range 0 5) (int_range 0 2)))
+    (fun (case, shift) ->
+      let t = problem_of_case case in
+      let separating, others = edits t in
+      let k = Vm1.Wcache.key ~mode:`Greedy t in
+      List.for_all
+        (fun e -> not (String.equal k (Vm1.Wcache.key ~mode:`Greedy e)))
+        separating
+      && same_classes
+           (both_keys [ `Greedy; `Portfolio ]
+              (t :: problem_of_case case :: problem_of_case ~shift case
+              :: (separating @ others))))
+
+(* on real windows: every window of the m0 and aes placements under
+   three window grids, fresh and after a greedy pass, with and without a
+   translation-variant candidate cost, next to the windows of the same
+   placements translated by whole sites and rows; the classes must
+   match, and translation must make collisions for the check to bite *)
+let test_real_window_classes () =
+  let keys = ref [] and n = ref 0 in
+  List.iter
+    (fun (p, params) ->
+      List.iter
+        (fun (bw, bh, tx, lx, ly, cost) ->
+          let candidate_cost =
+            if cost then Some (fun ~site ~row:_ -> float_of_int (site mod 3))
+            else None
+          in
+          (* the windows of [p], extracted from [p] translated by (dx, dy)
+             at their translated origins *)
+          let windows ~dx ~dy =
+            let q = translate p ~dx ~dy in
+            Array.to_list (Vm1.Window.partition p ~tx ~ty:0 ~bw ~bh)
+            |> List.map (fun (w : Vm1.Window.t) ->
+                   W.extract ?candidate_cost q params ~site_lo:(w.site_lo + dx)
+                     ~row_lo:(w.row_lo + dy) ~bw:w.bw ~bh:w.bh
+                     ~movable:w.movable ~lx ~ly ~allow_flip:true
+                     ~allow_move:true)
+          in
+          let fresh = windows ~dx:0 ~dy:0 in
+          let solved =
+            List.map
+              (fun t ->
+                let t = W.clone t in
+                ignore (S.solve ~mode:`Greedy ~max_passes:1 t);
+                t)
+              fresh
+          in
+          let ts =
+            fresh @ solved @ windows ~dx:3 ~dy:0 @ windows ~dx:2 ~dy:1
+          in
+          n := !n + List.length ts;
+          keys := both_keys [ `Greedy ] ts @ !keys)
+        [
+          (14, 2, 0, 2, 1, false);
+          (20, 3, 7, 3, 1, false);
+          (40, 6, 0, 1, 0, true);
+        ])
+    (Lazy.force placements);
+  Alcotest.(check bool) "same classes" true (same_classes !keys);
+  let distinct = Hashtbl.create 64 in
+  List.iter (fun (_, k) -> Hashtbl.replace distinct k ()) !keys;
+  Alcotest.(check bool) "translated windows collide" true
+    (Hashtbl.length distinct < !n)
+
 (* --- the pinned jpeg/4 profile --- *)
 
 let test_jpeg4_profile () =
@@ -884,10 +1145,13 @@ let () =
             prop_kernels_match_reference;
             prop_shove_plan_matches_full_scan;
             prop_state_invariant;
+            prop_key_classes_match_wkey3;
           ] );
       ( "pinned",
         [
           Alcotest.test_case "jpeg/4 portfolio profile" `Quick
             test_jpeg4_profile;
+          Alcotest.test_case "real window key classes = wkey3 classes"
+            `Quick test_real_window_classes;
         ] );
     ]

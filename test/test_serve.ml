@@ -287,6 +287,64 @@ let test_external_rejects_bad_def () =
   expect_bad_request
     (Serve.Engine.run cache (external_job (Serve.Protocol.Inline text)))
 
+(* --- baseline reuse --- *)
+
+let c_subnets = Obs.counter "route.subnets"
+
+(* route.subnets added by [f], with observability on *)
+let subnets_of f =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let before = Obs.Counter.value c_subnets in
+      let v = f () in
+      (v, Obs.Counter.value c_subnets - before))
+
+(* one route of the m0/64 placement every job below starts from: a
+   route's subnet count depends only on the netlist *)
+let one_route_subnets =
+  lazy
+    (snd
+       (subnets_of (fun () ->
+            Route.Router.route
+              (Report.Flow.prepare ~scale:64 Netlist.Designs.M0
+                 Pdk.Cell_arch.Closed_m1))))
+
+(* After [first] ran on a cache, [second] — same placement, other
+   alpha, sequence and solver — must reply with the bytes it gets from a
+   fresh cache, and must route only its optimised placement: one
+   route's subnets, where the fresh-cache run adds two. *)
+let check_baseline_reuse ~first ~second =
+  let cache = Serve.Cache.create () in
+  ignore (result_bytes (Serve.Engine.run cache first));
+  let warm, warm_subnets =
+    subnets_of (fun () -> result_bytes (Serve.Engine.run cache second))
+  in
+  let cold, cold_subnets =
+    subnets_of (fun () ->
+        result_bytes (Serve.Engine.run (Serve.Cache.create ()) second))
+  in
+  let one = Lazy.force one_route_subnets in
+  checkb "a route has subnets" true (one > 0);
+  checks "warm result = fresh-cache result" cold warm;
+  check "warm job routes once" one warm_subnets;
+  check "fresh-cache job routes twice" (2 * one) cold_subnets
+
+let vary (j : Serve.Protocol.job) =
+  { j with
+    Serve.Protocol.id = "v";
+    alpha = Some 600.;
+    sequence = 2;
+    solver = Some `Portfolio }
+
+let test_baseline_reuse_generated () =
+  check_baseline_reuse ~first:(job "f") ~second:(vary (job "s"))
+
+let test_baseline_reuse_external () =
+  let ext = external_job (Serve.Protocol.Inline (external_def_text ())) in
+  check_baseline_reuse ~first:ext ~second:(vary ext)
+
 (* --- grid skeleton --- *)
 
 let placement scale =
@@ -502,6 +560,13 @@ let () =
           Alcotest.test_case "def_path" `Quick test_external_path_job;
           Alcotest.test_case "bad def rejected" `Quick
             test_external_rejects_bad_def;
+        ] );
+      ( "baseline",
+        [
+          Alcotest.test_case "reuse on a generated placement" `Quick
+            test_baseline_reuse_generated;
+          Alcotest.test_case "reuse on an inline def" `Quick
+            test_baseline_reuse_external;
         ] );
       ( "skeleton",
         [
