@@ -111,15 +111,13 @@ let run design arch scale utilization alpha sequence solver dump_prefix
      Io.Def.write_file (prefix ^ ".init.def") p.design
        (Place.Placement.to_def p)
    | None -> ());
-  let init, clock_ps = Report.Flow.evaluate params p in
   let config =
     { Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.sequence = Vm1.Params.sequence sequence;
       mode = solver;
       parallel }
   in
-  let report = Vm1.Vm1_opt.run ~config params p in
-  let final, _ = Report.Flow.evaluate ~clock_ps params p in
+  let comparison = Report.Flow.run_comparison ~config ~params p in
   (match dump_prefix with
    | Some prefix ->
      Io.Def.write_file (prefix ^ ".opt.def") p.design
@@ -132,16 +130,6 @@ let run design arch scale utilization alpha sequence solver dump_prefix
      Report.Svg.write_file (prefix ^ ".routed.svg") (Report.Svg.routed r);
      Report.Svg.write_file (prefix ^ ".congestion.svg") (Report.Svg.congestion r)
    | None -> ());
-  let comparison =
-    {
-      Report.Flow.design_name = p.design.Netlist.Design.name;
-      instances = Place.Placement.num_instances p;
-      alpha = params.Vm1.Params.alpha;
-      init;
-      final;
-      opt_runtime_s = report.Vm1.Vm1_opt.runtime_s;
-    }
-  in
   print_string (Report.Expt.Table2.render [ comparison ]);
   (match trace with
    | Some path ->

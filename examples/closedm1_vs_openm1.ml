@@ -12,7 +12,10 @@
    Run with: dune exec examples/closedm1_vs_openm1.exe *)
 
 let run arch =
-  let c = Report.Flow.run_comparison ~scale:16 Netlist.Designs.Aes arch in
+  let c =
+    Report.Flow.run_comparison
+      (Report.Flow.prepare ~scale:16 Netlist.Designs.Aes arch)
+  in
   let i = c.Report.Flow.init and f = c.Report.Flow.final in
   let dm1_delta =
     if i.Report.Flow.dm1 = 0 then "   n/a "

@@ -18,14 +18,8 @@ let () =
         Report.Flow.prepare ~scale:16 ~utilization Netlist.Designs.Aes
           Pdk.Cell_arch.Closed_m1
       in
-      let params = Vm1.Params.default p.Place.Placement.tech in
-      let init, clock_ps =
-        Report.Flow.evaluate ~router_config:router params p
-      in
-      ignore (Vm1.Vm1_opt.run params p);
-      let final, _ =
-        Report.Flow.evaluate ~clock_ps ~router_config:router params p
-      in
+      let c = Report.Flow.run_comparison ~router_config:router p in
+      let init = c.Report.Flow.init and final = c.Report.Flow.final in
       Printf.printf "%.0f%%   %9d  %8d   %9d  %8d\n%!"
         (utilization *. 100.0) init.Report.Flow.drvs final.Report.Flow.drvs
         init.Report.Flow.dm1 final.Report.Flow.dm1)

@@ -12,25 +12,17 @@ let () =
   in
   print_endline (Netlist.Design.stats placement.Place.Placement.design);
 
-  (* 2. paper-default parameters: alpha = 1200, beta = 1, gamma = 3 *)
-  let params = Vm1.Params.default placement.Place.Placement.tech in
-
-  (* 3. route the initial placement and measure *)
-  let init, clock_ps = Report.Flow.evaluate params placement in
+  (* 2. with the paper-default parameters (alpha = 1200, beta = 1,
+     gamma = 3): route the initial placement and measure, run
+     Algorithm 1 (VM1Opt) with the preferred sequence (20um, lx=4,
+     ly=1), then re-route and measure again — more direct vertical M1
+     routes, shorter routed wirelength, fewer M1->M2 vias *)
+  let c = Report.Flow.run_comparison placement in
+  let init = c.Report.Flow.init and final = c.Report.Flow.final in
   Printf.printf "initial : #dM1 %4d  RWL %8.1f um  #via12 %5d  DRVs %d\n"
     init.Report.Flow.dm1 init.Report.Flow.rwl_um init.Report.Flow.via12
     init.Report.Flow.drvs;
-
-  (* 4. Algorithm 1 (VM1Opt) with the preferred sequence (20um, lx=4, ly=1) *)
-  let report = Vm1.Vm1_opt.run params placement in
-  Printf.printf "optimiser: objective %.0f -> %.0f in %d iterations (%.2fs)\n"
-    report.Vm1.Vm1_opt.initial_objective report.Vm1.Vm1_opt.final_objective
-    (List.length report.Vm1.Vm1_opt.iterations)
-    report.Vm1.Vm1_opt.runtime_s;
-
-  (* 5. re-route and compare — more direct vertical M1 routes, shorter
-     routed wirelength, fewer M1->M2 vias *)
-  let final, _ = Report.Flow.evaluate ~clock_ps params placement in
+  Printf.printf "optimiser: %.2fs\n" c.Report.Flow.opt_runtime_s;
   Printf.printf "final   : #dM1 %4d  RWL %8.1f um  #via12 %5d  DRVs %d\n"
     final.Report.Flow.dm1 final.Report.Flow.rwl_um final.Report.Flow.via12
     final.Report.Flow.drvs;

@@ -15,6 +15,9 @@ type params = {
   alpha : float option;
   sequence : step list option;
   router_layers : int option;
+  use_dm1 : bool option;
+  row_dp : bool option;
+  congestion_term : bool option;
 }
 
 type t = {
@@ -58,6 +61,10 @@ let number ~what = function
 let int_of ~what = function
   | Obs.Json.Int n -> Ok n
   | j -> Error (Printf.sprintf "%s: expected an integer, got %s" what (Obs.Json.to_string j))
+
+let bool_of ~what = function
+  | Obs.Json.Bool b -> Ok b
+  | j -> Error (Printf.sprintf "%s: expected a boolean, got %s" what (Obs.Json.to_string j))
 
 let arch_of_json ~what j =
   let* s = str ~what j in
@@ -125,7 +132,9 @@ let step_of_json ~what = function
       (Printf.sprintf "%s: expected a [bw_um, lx, ly] step, got %s" what
          (Obs.Json.to_string j))
 
-let params_keys = [ "id"; "alpha"; "sequence"; "router_layers" ]
+let params_keys =
+  [ "id"; "alpha"; "sequence"; "router_layers"; "use_dm1"; "row_dp";
+    "congestion_term" ]
 
 let params_of_json j =
   let* p_id = Result.bind (field j "id" ~what:"params entry") (str ~what:"params id") in
@@ -159,7 +168,11 @@ let params_of_json j =
       (match router_layers with Some n -> n >= 2 && n <= 6 | None -> true)
       (what ^ ": router_layers must be in 2..6")
   in
-  Ok { p_id; alpha; sequence; router_layers }
+  let switch key = opt_field j key (bool_of ~what:(what ^ ": " ^ key)) in
+  let* use_dm1 = switch "use_dm1" in
+  let* row_dp = switch "row_dp" in
+  let* congestion_term = switch "congestion_term" in
+  Ok { p_id; alpha; sequence; router_layers; use_dm1; row_dp; congestion_term }
 
 let of_json j =
   let what = "manifest" in
@@ -210,6 +223,23 @@ let of_json j =
     | Some [] -> Error "manifest: no params"
     | Some ps ->
       let* () = no_duplicates ~what:"params" (List.map (fun p -> p.p_id) ps) in
+      (* an external placement is fixed by its file: there is no row DP
+         to switch *)
+      let* () =
+        match
+          ( List.find_opt (fun p -> p.row_dp <> None) ps,
+            List.find_opt
+              (fun e -> match e.source with External _ -> true | Generate _ -> false)
+              entries )
+        with
+        | Some p, Some e ->
+          Error
+            (Printf.sprintf
+               "manifest: params %S: row_dp applies to generated designs only, \
+                but design %S is external"
+               p.p_id e.e_id)
+        | _ -> Ok ()
+      in
       Ok ps
   in
   Ok { m_name; entries; archs; utils; scales; params }
@@ -239,7 +269,10 @@ let params_to_json p =
         (fun steps ->
           List (List.map (fun s -> List [ Float s.bw_um; Int s.lx; Int s.ly ]) steps))
         p.sequence
-    @ opt "router_layers" (fun n -> Int n) p.router_layers)
+    @ opt "router_layers" (fun n -> Int n) p.router_layers
+    @ opt "use_dm1" (fun b -> Bool b) p.use_dm1
+    @ opt "row_dp" (fun b -> Bool b) p.row_dp
+    @ opt "congestion_term" (fun b -> Bool b) p.congestion_term)
 
 let to_json m =
   let open Obs.Json in

@@ -12,14 +12,20 @@
     parameter sets. Each set may override the dM1 weight [alpha]
     (default: the architecture's paper value), the optimisation
     [sequence] of [[bw_um, lx, ly]] steps (default: the paper's single
-    (20, 4, 1) step), and the router's metal-layer count
-    [router_layers] (default: the full stack); an omitted field keeps
-    its default. Without [params] every cell runs the defaults.
+    (20, 4, 1) step), the router's metal-layer count [router_layers]
+    (default: the full stack), and three boolean switches: [use_dm1]
+    (default true; false forbids direct vertical M1 in both routes),
+    [row_dp] (default true; false skips the HPWL row DP after global
+    placement — generated designs only) and [congestion_term] (default
+    false; true taxes VM1Opt's candidates in the initial route's hot
+    tiles). An omitted field keeps its default. Without [params] every
+    cell runs the defaults.
 
     {!of_json} rejects empty axes, utilisations outside (0, 1], scales
     below 1, negative [alpha], [router_layers] outside 2..6, empty
-    sequences, steps with [bw_um <= 0] or negative [lx]/[ly], unknown
-    params keys and duplicate design or params ids.
+    sequences, steps with [bw_um <= 0] or negative [lx]/[ly],
+    non-boolean switches, [row_dp] in a manifest with an external
+    design, unknown params keys and duplicate design or params ids.
 
     Example:
     {v
@@ -34,7 +40,8 @@
       "params": [
         { "id": "a0", "alpha": 0 },
         { "id": "seq2", "sequence": [[10, 3, 1], [10, 4, 0], [20, 4, 0]] },
-        { "id": "l3", "router_layers": 3 } ] }
+        { "id": "l3", "router_layers": 3, "congestion_term": true },
+        { "id": "no_dm1", "use_dm1": false } ] }
     v} *)
 
 type source =
@@ -61,6 +68,9 @@ type params = {
   alpha : float option;
   sequence : step list option;
   router_layers : int option;
+  use_dm1 : bool option;
+  row_dp : bool option;
+  congestion_term : bool option;
 }
 
 type t = {

@@ -26,7 +26,7 @@ type id =
           specs or external DEF/LEF paths) and the arch/util/scale axes
           an experiment matrix sweeps *)
   | Expt_matrix
-      (** [expt matrix]: the per-cell QoR report swept from a benchmark
+      (** [expt]: the per-cell QoR report swept from a benchmark
           manifest (the committed test/matrix_golden.json) *)
   | Metrics
       (** [Serve.Telemetry]: the admin-plane [metrics] reply —

@@ -1,6 +1,6 @@
 (** The paper's Table 2 row format. The paper's tables and figures
     themselves are [vm1dp-bench-manifest/1] manifests under
-    [experiments/], run by [expt matrix] ({!Matrix}); see EXPERIMENTS.md
+    [experiments/], run by [expt] ({!Matrix}); see EXPERIMENTS.md
     for paper-vs-measured. *)
 
 (** ExptB / Table 2: full before/after comparison rows, as [vm1opt]

@@ -56,14 +56,13 @@ type comparison = {
   opt_runtime_s : float;
 }
 
-let run_comparison ?scale ?utilization ?params ?config name arch =
-  let p = prepare ?scale ?utilization name arch in
+let run_comparison ?router_config ?config ?params (p : Place.Placement.t) =
   let params =
     match params with Some ps -> ps | None -> Vm1.Params.default p.tech
   in
-  let init, clock_ps = evaluate params p in
+  let init, clock_ps = evaluate ?router_config params p in
   let report = Vm1.Vm1_opt.run ?config params p in
-  let final, _ = evaluate ~clock_ps params p in
+  let final, _ = evaluate ~clock_ps ?router_config params p in
   {
     design_name = p.design.Netlist.Design.name;
     instances = Place.Placement.num_instances p;

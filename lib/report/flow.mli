@@ -49,13 +49,14 @@ type comparison = {
   opt_runtime_s : float;
 }
 
-(** [run_comparison ?scale ?utilization ?params ?config name arch] is the
-    full Table-2 experiment for one design: evaluate the initial routed
-    placement, run VM1Opt, re-route, evaluate again. *)
+(** [run_comparison ?router_config ?config ?params p] is the Table-2
+    experiment on a prepared placement: evaluate the initial routed
+    placement, run VM1Opt on [p] in place, re-route and evaluate again
+    against the initial clock. [router_config] applies to both routes;
+    [params] defaults to {!Vm1.Params.default} for [p]'s technology. *)
 val run_comparison :
-  ?scale:int -> ?utilization:float -> ?params:Vm1.Params.t ->
-  ?config:Vm1.Vm1_opt.config -> Netlist.Designs.name -> Pdk.Cell_arch.t ->
-  comparison
+  ?router_config:Route.Router.config -> ?config:Vm1.Vm1_opt.config ->
+  ?params:Vm1.Params.t -> Place.Placement.t -> comparison
 
 (** [delta_pct a b] is the relative change from [a] to [b] in percent. *)
 val delta_pct : float -> float -> float

@@ -3,6 +3,9 @@ type params = {
   alpha : float;
   sequence : Vm1.Params.step list;
   router_layers : int;
+  use_dm1 : bool;
+  row_dp : bool;
+  congestion_term : bool;
 }
 
 type cell = {
@@ -75,10 +78,14 @@ let specs_of_manifest (m : Io.Manifest.t) =
     m.Io.Manifest.entries
 
 let no_params =
-  { Io.Manifest.p_id = ""; alpha = None; sequence = None; router_layers = None }
+  { Io.Manifest.p_id = ""; alpha = None; sequence = None; router_layers = None;
+    use_dm1 = None; row_dp = None; congestion_term = None }
 
-(* the manifest's params set with every omitted field at its default *)
-let resolve (defaults : Vm1.Params.t) (q : Io.Manifest.params) =
+(* the manifest's params set with every omitted field at its default
+   for the design's technology *)
+let resolve (design : Netlist.Design.t) prm =
+  let defaults = Vm1.Params.default design.Netlist.Design.lib.Pdk.Libgen.tech in
+  let q = Option.value prm ~default:no_params in
   {
     p_id = q.Io.Manifest.p_id;
     alpha = Option.value q.Io.Manifest.alpha ~default:defaults.Vm1.Params.alpha;
@@ -93,55 +100,69 @@ let resolve (defaults : Vm1.Params.t) (q : Io.Manifest.params) =
     router_layers =
       Option.value q.Io.Manifest.router_layers
         ~default:Route.Router.default_config.Route.Router.layers;
+    use_dm1 =
+      Option.value q.Io.Manifest.use_dm1
+        ~default:Route.Router.default_config.Route.Router.use_dm1;
+    row_dp = Option.value q.Io.Manifest.row_dp ~default:true;
+    congestion_term = Option.value q.Io.Manifest.congestion_term ~default:false;
   }
 
-(* evaluate init, optimise (sequentially — the cell grid is the unit of
-   parallelism), re-evaluate against the same clock; the router layer
-   count applies to both evaluations *)
-let run_pipeline prm p =
-  let defaults = Vm1.Params.default p.Place.Placement.tech in
-  let q = resolve defaults (Option.value prm ~default:no_params) in
-  let params = { defaults with Vm1.Params.alpha = q.alpha } in
+(* the flow with the cell's params; VM1Opt runs sequentially — the cell
+   grid is the unit of parallelism *)
+let run_pipeline q p =
   let router_config =
-    { Route.Router.default_config with Route.Router.layers = q.router_layers }
+    {
+      Route.Router.default_config with
+      Route.Router.layers = q.router_layers;
+      use_dm1 = q.use_dm1;
+    }
   in
-  let init, clock_ps = Flow.evaluate ~router_config params p in
   let config =
     {
       Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.parallel = false;
       sequence = q.sequence;
+      candidate_cost =
+        (if q.congestion_term then Some (Flow.congestion_cost ~router_config p)
+         else None);
     }
   in
-  let report = Vm1.Vm1_opt.run ~config params p in
-  let final, _ = Flow.evaluate ~clock_ps ~router_config params p in
-  (Option.map (fun _ -> q) prm, init, final, report.Vm1.Vm1_opt.runtime_s)
+  let params =
+    { (Vm1.Params.default p.Place.Placement.tech) with Vm1.Params.alpha = q.alpha }
+  in
+  Flow.run_comparison ~router_config ~config ~params p
 
-let with_params id = function
-  | Some q -> id ^ "/" ^ q.p_id
-  | None -> id
+(* the cell's id and its reported params: none when the manifest has no
+   params axis *)
+let label id prm q =
+  match prm with
+  | Some _ -> (id ^ "/" ^ q.p_id, Some q)
+  | None -> (id, None)
 
 let run_cell = function
   | Gen { s_id; name; arch; util; scale; prm } ->
     let design = Netlist.Designs.make ~scale name arch in
-    let p = Flow.prepare_placement ~utilization:util design in
-    let params, init, final, opt_runtime_s = run_pipeline prm p in
+    let q = resolve design prm in
+    let p = Flow.prepare_placement ~utilization:util ~detailed:q.row_dp design in
+    let c = run_pipeline q p in
+    let cell_id, params =
+      label
+        (Printf.sprintf "%s/%s/u%.2f/s%d" s_id (Pdk.Cell_arch.to_string arch)
+           util scale)
+        prm q
+    in
     Ok
       {
-        cell_id =
-          with_params
-            (Printf.sprintf "%s/%s/u%.2f/s%d" s_id
-               (Pdk.Cell_arch.to_string arch) util scale)
-            params;
+        cell_id;
         design_name = Netlist.Designs.to_string name;
         arch;
         util = Some util;
         scale = Some scale;
         params;
-        instances = Netlist.Design.num_instances design;
-        init;
-        final;
-        opt_runtime_s;
+        instances = c.Flow.instances;
+        init = c.Flow.init;
+        final = c.Flow.final;
+        opt_runtime_s = c.Flow.opt_runtime_s;
       }
   | Ext { s_id; def_path; lef_path; arch; prm } ->
     let lib =
@@ -157,20 +178,21 @@ let run_cell = function
         match Io.Def.read_file lib def_path with
         | Error msg -> Error (Printf.sprintf "%s: %s" def_path msg)
         | Ok (design, def) ->
-          let p = Place.Placement.of_def design def in
-          let params, init, final, opt_runtime_s = run_pipeline prm p in
+          let q = resolve design prm in
+          let c = run_pipeline q (Place.Placement.of_def design def) in
+          let cell_id, params = label (s_id ^ "/ext") prm q in
           Ok
             {
-              cell_id = with_params (s_id ^ "/ext") params;
+              cell_id;
               design_name = design.Netlist.Design.name;
               arch = lib.Pdk.Libgen.tech.Pdk.Tech.arch;
               util = None;
               scale = None;
               params;
-              instances = Netlist.Design.num_instances design;
-              init;
-              final;
-              opt_runtime_s;
+              instances = c.Flow.instances;
+              init = c.Flow.init;
+              final = c.Flow.final;
+              opt_runtime_s = c.Flow.opt_runtime_s;
             })
 
 let run (m : Io.Manifest.t) =
@@ -210,7 +232,7 @@ let eval_json (e : Flow.eval) =
 let params_json q =
   let open Obs.Json in
   Obj
-    [
+    ([
       ("id", Str q.p_id);
       ("alpha", Float q.alpha);
       ( "sequence",
@@ -221,6 +243,11 @@ let params_json q =
              q.sequence) );
       ("router_layers", Int q.router_layers);
     ]
+    (* a switch is listed only off its default, so reports of manifests
+       that never set it keep their bytes *)
+    @ (if q.use_dm1 then [] else [ ("use_dm1", Bool false) ])
+    @ (if q.row_dp then [] else [ ("row_dp", Bool false) ])
+    @ if q.congestion_term then [ ("congestion_term", Bool true) ] else [])
 
 let cell_json (c : cell) =
   let open Obs.Json in

@@ -5,10 +5,11 @@
     arch/utilisation/scale combination of its axes; external DEF entries
     contribute one cell each (their placement — and so their axes — are
     fixed by the file). Both are crossed with the manifest's [params]
-    sets, when it has any. Every cell runs the same pipeline as
-    [vm1opt]: evaluate the initial routed placement, run VM1Opt with the
-    greedy window solver, re-route, evaluate again — with the cell's
-    alpha, optimisation sequence and router layer count.
+    sets, when it has any. Every cell runs {!Flow.run_comparison}, as
+    [vm1opt] does: evaluate the initial routed placement, run VM1Opt
+    with the greedy window solver, re-route, evaluate again — with the
+    cell's alpha, optimisation sequence, router layer count and
+    switches (dM1 routing, row DP, congestion term).
 
     Cells are distributed over the exec pool ({!Exec.parallel_map}),
     with the in-cell optimiser forced sequential so the cell grid is the
@@ -23,6 +24,9 @@ type params = {
   alpha : float;
   sequence : Vm1.Params.step list;
   router_layers : int;
+  use_dm1 : bool;          (** router may use direct vertical M1 *)
+  row_dp : bool;           (** HPWL row DP after global placement *)
+  congestion_term : bool;  (** VM1Opt taxes hot-tile candidates *)
 }
 
 type cell = {

@@ -6,7 +6,8 @@ let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let comparison arch =
-  Report.Flow.run_comparison ~scale:24 Netlist.Designs.Aes arch
+  Report.Flow.run_comparison
+    (Report.Flow.prepare ~scale:24 Netlist.Designs.Aes arch)
 
 let closed = lazy (comparison Pdk.Cell_arch.Closed_m1)
 let opened = lazy (comparison Pdk.Cell_arch.Open_m1)

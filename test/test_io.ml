@@ -328,6 +328,34 @@ let test_manifest_params_roundtrip () =
   in
   checkb "round-trip" true (m = m2)
 
+(* the three flow switches round-trip, and an unset switch stays None *)
+let test_manifest_switches_roundtrip () =
+  let m =
+    ok_or_fail "parse"
+      (Io.Manifest.parse
+         {|{ "schema": "vm1dp-bench-manifest/1", "name": "s",
+             "designs": [ { "id": "aes", "generate": "aes" } ],
+             "archs": ["closedm1"], "utils": [0.75], "scales": [16],
+             "params": [
+               { "id": "all", "use_dm1": false, "row_dp": false,
+                 "congestion_term": true },
+               { "id": "none" } ] }|})
+  in
+  (match m.Io.Manifest.params with
+  | [ a; n ] ->
+    checkb "set" true
+      (a.Io.Manifest.use_dm1 = Some false
+      && a.Io.Manifest.row_dp = Some false
+      && a.Io.Manifest.congestion_term = Some true);
+    checkb "unset" true
+      (n.Io.Manifest.use_dm1 = None && n.Io.Manifest.row_dp = None
+      && n.Io.Manifest.congestion_term = None)
+  | _ -> Alcotest.fail "expected two params sets");
+  let m2 =
+    ok_or_fail "reparse" (Io.Manifest.of_json (Io.Manifest.to_json m))
+  in
+  checkb "round-trip" true (m = m2)
+
 let manifest_err json =
   match Io.Manifest.parse json with
   | Ok _ -> Alcotest.failf "accepted bad manifest: %s" json
@@ -397,7 +425,21 @@ let test_manifest_errors () =
   checks "unknown key" "manifest: params \"p\": unknown key \"solver\""
     (params_err {|[{"id":"p","solver":"exact"}]|});
   checks "duplicate params id" "manifest: duplicate params id \"p\""
-    (params_err {|[{"id":"p","alpha":0},{"id":"p","alpha":1}]|})
+    (params_err {|[{"id":"p","alpha":0},{"id":"p","alpha":1}]|});
+  checks "use_dm1 not a boolean"
+    "manifest: params \"p\": use_dm1: expected a boolean, got 0"
+    (params_err {|[{"id":"p","use_dm1":0}]|});
+  checks "row_dp not a boolean"
+    "manifest: params \"p\": row_dp: expected a boolean, got \"no\""
+    (params_err {|[{"id":"p","row_dp":"no"}]|});
+  checks "congestion_term not a boolean"
+    "manifest: params \"p\": congestion_term: expected a boolean, got null"
+    (params_err {|[{"id":"p","congestion_term":null}]|});
+  checks "row_dp with an external design"
+    "manifest: params \"q\": row_dp applies to generated designs only, \
+     but design \"smoke\" is external"
+    (manifest_err
+       {|{"schema":"vm1dp-bench-manifest/1","name":"x","designs":[{"id":"a","generate":"m0"},{"id":"smoke","def":"m0_smoke.def"}],"archs":["closedm1"],"utils":[0.7],"scales":[16],"params":[{"id":"p","alpha":0},{"id":"q","row_dp":true}]}|})
 
 (* --- the reason the codec exists: QoR survives the round-trip --------- *)
 
@@ -468,6 +510,8 @@ let () =
         [
           Alcotest.test_case "parse and round-trip" `Quick
             test_manifest_parse_and_roundtrip;
+          Alcotest.test_case "switches round-trip" `Quick
+            test_manifest_switches_roundtrip;
           Alcotest.test_case "params round-trip" `Quick
             test_manifest_params_roundtrip;
           Alcotest.test_case "errors" `Quick test_manifest_errors;

@@ -84,45 +84,6 @@ let test_svg_routed_and_congestion () =
     (try ignore (Str.search_forward (Str.regexp_string "rgb(255,") heat 0); true
      with Not_found -> false)
 
-(* --- ablations --- *)
-
-let test_solver_ladder_ordering () =
-  let points = Report.Ablation.Solver_ladder.run ~scale:32 ~windows:4 () in
-  let find name =
-    List.find (fun (pt : Report.Ablation.Solver_ladder.point) -> pt.solver = name) points
-  in
-  let greedy = find "greedy" and anneal = find "anneal" in
-  let exact = find "exact" and milp = find "milp" in
-  checkb "exact is the optimum" true (exact.optimal_gap = 0.0);
-  checkb "milp matches exact" true (abs_float milp.optimal_gap < 0.5);
-  checkb "anneal no worse than greedy" true
-    (anneal.total_objective <= greedy.total_objective +. 1e-6);
-  checkb "greedy gap nonnegative" true (greedy.optimal_gap >= -1e-6)
-
-let test_no_dm1_ablation () =
-  let points = Report.Ablation.No_dm1.run ~scale:32 () in
-  match points with
-  | [ with_dm1; without ] ->
-    checkb "dM1 only with the mechanism" true
-      (with_dm1.Report.Ablation.No_dm1.dm1 > 0
-       && without.Report.Ablation.No_dm1.dm1 = 0);
-    checkb "dM1 saves vias" true
-      (with_dm1.Report.Ablation.No_dm1.via12
-       <= without.Report.Ablation.No_dm1.via12)
-  | _ -> Alcotest.fail "expected two points"
-
-let test_baseline_dp_ablation () =
-  let points = Report.Ablation.Baseline_dp.run ~scale:32 () in
-  match points with
-  | [ raw; dp; vm1 ] ->
-    checkb "DP reduces HPWL" true
-      (dp.Report.Ablation.Baseline_dp.hpwl_um
-       <= raw.Report.Ablation.Baseline_dp.hpwl_um);
-    checkb "vm1 creates far more dM1 than DP" true
-      (vm1.Report.Ablation.Baseline_dp.dm1
-       > 2 * dp.Report.Ablation.Baseline_dp.dm1)
-  | _ -> Alcotest.fail "expected three points"
-
 (* --- congestion map --- *)
 
 let test_congestion_map () =
@@ -164,7 +125,8 @@ let contains s sub =
 
 (* the params axis: each set crosses the grid, suffixes the cell id,
    resolves omitted fields to the architecture's defaults, and reaches
-   the optimiser (alpha 0 seeks no alignments) and the router *)
+   the optimiser (alpha 0 seeks no alignments) and the router (3 layers;
+   no dM1 without use_dm1) *)
 let test_matrix_params () =
   let m =
     match
@@ -174,7 +136,8 @@ let test_matrix_params () =
             "archs": ["closedm1"], "utils": [0.75], "scales": [64],
             "params": [ { "id": "paper" },
                         { "id": "a0", "alpha": 0, "sequence": [[10, 2, 0]] },
-                        { "id": "l3", "router_layers": 3 } ] }|}
+                        { "id": "l3", "router_layers": 3 },
+                        { "id": "nodm1", "use_dm1": false } ] }|}
     with
     | Ok m -> m
     | Error msg -> Alcotest.fail msg
@@ -199,7 +162,7 @@ let test_matrix_params () =
     | Some q -> q
     | None -> Alcotest.failf "%s: no params" id
   in
-  Alcotest.(check int) "one cell per params set" 3 (List.length r.Report.Matrix.cells);
+  Alcotest.(check int) "one cell per params set" 4 (List.length r.Report.Matrix.cells);
   let paper = resolved "paper" and a0 = resolved "a0" and l3 = resolved "l3" in
   checkf "default alpha" 1200.0 paper.Report.Matrix.alpha;
   checkb "default sequence" true
@@ -209,10 +172,17 @@ let test_matrix_params () =
   checkb "given sequence" true
     (a0.Report.Matrix.sequence = [ { Vm1.Params.bw_um = 10.0; lx = 2; ly = 0 } ]);
   Alcotest.(check int) "given layers" 3 l3.Report.Matrix.router_layers;
+  checkb "default switches" true
+    (paper.Report.Matrix.use_dm1 && paper.Report.Matrix.row_dp
+    && not paper.Report.Matrix.congestion_term);
+  checkb "use_dm1 off" false (resolved "nodm1").Report.Matrix.use_dm1;
   let dm1 id = (cell id).Report.Matrix.final.Report.Flow.dm1 in
   checkb "alpha 0 finds fewer dM1" true (dm1 "a0" < dm1 "paper");
   checkb "3 layers route differently" true
     ((cell "l3").Report.Matrix.init <> (cell "paper").Report.Matrix.init);
+  Alcotest.(check (pair int int)) "no dM1 before or after" (0, 0)
+    ( (cell "nodm1").Report.Matrix.init.Report.Flow.dm1,
+      dm1 "nodm1" );
   checkb "runtime measured" true
     (List.for_all
        (fun (c : Report.Matrix.cell) -> c.Report.Matrix.opt_runtime_s >= 0.0)
@@ -220,6 +190,9 @@ let test_matrix_params () =
   checkb "runtime rendered" true (contains (Report.Matrix.render r) "opt s");
   let json = Obs.Json.to_string (Report.Matrix.to_json r) in
   checkb "params in the report" true (contains json {|"params":{"id":"l3"|});
+  checkb "a switch off its default is listed" true
+    (contains json {|"router_layers":6,"use_dm1":false}|});
+  checkb "a switch at its default is not" false (contains json "row_dp");
   checkb "runtime not in the report" false (contains json "runtime")
 
 let test_table2_render () =
@@ -263,12 +236,6 @@ let () =
         [
           Alcotest.test_case "placement svg" `Quick test_svg_placement_wellformed;
           Alcotest.test_case "routed + congestion svg" `Quick test_svg_routed_and_congestion;
-        ] );
-      ( "ablation",
-        [
-          Alcotest.test_case "solver ladder" `Slow test_solver_ladder_ordering;
-          Alcotest.test_case "no-dm1 router" `Quick test_no_dm1_ablation;
-          Alcotest.test_case "dp baseline" `Quick test_baseline_dp_ablation;
         ] );
       ( "congestion",
         [

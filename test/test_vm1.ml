@@ -405,6 +405,50 @@ let test_milp_matches_exact_with_flip () =
 let test_milp_matches_exact_openm1 () =
   milp_matches_exact open_lib open_params [ (4, 0.72); (178, 0.7) ]
 
+(* --- the solver ladder: one window sample through every solver --- *)
+
+(* The first 8 windows of 14x2 sites holding 2-4 movable cells of the
+   aes/32 ClosedM1 placement, each extracted fresh (lx 2, ly 1, no flip)
+   and solved by greedy, annealing, exhaustive search and the MILP. The
+   summed objectives are pinned: exact and MILP agree on the optimum,
+   annealing closes a fifth of greedy's gap to it. *)
+let test_solver_ladder () =
+  let p =
+    Report.Flow.prepare ~scale:32 Netlist.Designs.Aes Pdk.Cell_arch.Closed_m1
+  in
+  let params = Vm1.Params.default p.Place.Placement.tech in
+  let windows =
+    Vm1.Window.partition p ~tx:0 ~ty:0 ~bw:14 ~bh:2
+    |> Array.to_list
+    |> List.filter (fun (w : Vm1.Window.t) ->
+           let k = List.length w.movable in
+           k >= 2 && k <= 4)
+    |> List.filteri (fun i _ -> i < 8)
+  in
+  check "sample size" 8 (List.length windows);
+  let total solve =
+    List.fold_left
+      (fun acc (w : Vm1.Window.t) ->
+        let t =
+          Vm1.Wproblem.extract p params ~site_lo:w.site_lo ~row_lo:w.row_lo
+            ~bw:w.bw ~bh:w.bh ~movable:w.movable ~lx:2 ~ly:1
+            ~allow_flip:false ~allow_move:true
+        in
+        solve t;
+        acc +. Vm1.Wproblem.objective t)
+      0.0 windows
+  in
+  let scp mode t = ignore (Vm1.Scp_solver.solve ~mode t) in
+  List.iter
+    (fun (name, expected, solve) ->
+      Alcotest.(check (float 0.5)) name expected (total solve))
+    [
+      ("greedy", 57342.0, scp `Greedy);
+      ("anneal", 57036.0, scp `Anneal);
+      ("exact", 55788.0, scp `Exact);
+      ("milp", 55788.0, fun t -> ignore (Vm1.Formulate.solve ~node_limit:50_000 t));
+    ]
+
 (* --- Scp_solver portfolio mode --- *)
 
 let test_portfolio_not_worse_than_greedy () =
@@ -677,6 +721,7 @@ let () =
             test_milp_matches_exact_openm1;
           Alcotest.test_case "milp = exhaustive (flip)" `Slow
             test_milp_matches_exact_with_flip;
+          Alcotest.test_case "solver ladder" `Quick test_solver_ladder;
         ] );
       ( "flow",
         [
