@@ -35,8 +35,9 @@ let rules =
          ordered output (propagates through callers)" };
     { name = "poly-compare";
       summary =
-        "bare polymorphic compare/Hashtbl.hash; use Int.compare, \
-         String.compare or a typed comparator" };
+        "bare polymorphic compare/Hashtbl.hash, or a polymorphic \
+         max/min inside a [@vm1.hot] function; use Int.compare, \
+         String.compare, a typed comparator or an int-only max" };
     { name = "phys-eq";
       summary =
         "physical equality (==/!=) on boxed values is \
@@ -497,6 +498,8 @@ let walk_file ~path ~sup ~nodes ~next_id str =
   let cur = ref None in
   let cold_depth = ref 0 in
   let exempt_depth = ref 0 in
+  (* > 0 while walking the body of a [@vm1.hot] function *)
+  let hot_depth = ref 0 in
   let fresh_node name (loc : Location.t) ~hot ~cold =
     let id = !next_id in
     incr next_id;
@@ -606,6 +609,17 @@ let walk_file ~path ~sup ~nodes ~next_id str =
           (name
          ^ " is polymorphic; use Int.compare/String.compare or a typed \
             comparator")
+    else if
+      (name = "max" || name = "min")
+      && !hot_depth > 0
+      (* a bare name bound in the file is the file's own function *)
+      && (raw_name <> name || not (List.mem_assoc name !scope))
+    then
+      emit ~rule:"poly-compare" ~loc ~prim:name
+        ~message:
+          (raw_name
+         ^ " is polymorphic (a generic compare per call without flambda) \
+            inside a [@vm1.hot] function; use an int-only max/min")
     else if (name = "==" || name = "!=") && not (in_exec rel || in_obs rel)
     then
       emit ~rule:"phys-eq" ~loc ~prim:name
@@ -733,7 +747,9 @@ let walk_file ~path ~sup ~nodes ~next_id str =
             cur := Some n;
             ctx_stack := name :: !ctx_stack;
             if n.n_cold then incr cold_depth;
+            if n.n_hot then incr hot_depth;
             spine_walk self vb.pvb_expr;
+            if n.n_hot then decr hot_depth;
             if n.n_cold then decr cold_depth;
             scope := scope_saved;
             ctx_stack := ctx_saved;

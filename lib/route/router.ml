@@ -153,9 +153,10 @@ let m1_edge_allowed ctx j =
 let cost_scale = 8
 
 (* [Stdlib.max] is polymorphic: every call is a generic comparison. The
-   heuristic runs once per relax, so it uses this int-only form, which
-   compiles to a compare and a branch. *)
+   heuristic (once per relax) and [run]'s window clamp use these int-only
+   forms, which compile to a compare and a branch. *)
 let int_max (a : int) b = if a >= b then a else b
+let int_min (a : int) b = if a <= b then a else b
 
 (* [l] and [j] are the edge node's layer and track row, already decoded
    by the caller (the expansion loop decodes each popped node once and
@@ -207,10 +208,10 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
   in
   let node = ctx.node in
   let[@vm1.hot] run margin =
-    let ilo = max (max 0 (imin - margin)) ci0
-    and ihi = min (min (g.Grid.nx - 1) (imax + margin)) ci1 in
-    let jlo = max (max 0 (jmin - margin)) cj0
-    and jhi = min (min (g.Grid.ny - 1) (jmax + margin)) cj1 in
+    let ilo = int_max (int_max 0 (imin - margin)) ci0
+    and ihi = int_min (int_min (g.Grid.nx - 1) (imax + margin)) ci1 in
+    let jlo = int_max (int_max 0 (jmin - margin)) cj0
+    and jhi = int_min (int_min (g.Grid.ny - 1) (jmax + margin)) cj1 in
     let nx = g.Grid.nx and ny = g.Grid.ny in
     let nxy = nx * ny in
     (* weighted A*: inflating the admissible Manhattan bound trades a

@@ -58,6 +58,11 @@ let pin_stride = 6
 
 let max_plan_moves = 8
 
+(* int-only max/min for [extract], which is [@vm1.hot]: [Stdlib.max] is
+   polymorphic, a generic compare per call *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
 (* --- occupancy; coordinates are window-local. Occupancy is a per-site
    count, so that transient overlap while a plan is applied cell by cell
    stays consistent; the owner map names the movable cell on each site. --- *)
@@ -123,7 +128,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
       let w =
         design.Netlist.Design.instances.(i).master.Pdk.Stdcell.width_sites
       in
-      let a = max s site_lo and b = min (s + w - 1) site_hi in
+      let a = imax s site_lo and b = imin (s + w - 1) site_hi in
       if a <= b then bump fixed_occ (occ_at a r) (b - a + 1) 1
     end
   in
@@ -137,7 +142,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
         mark_fixed i r;
         mark_row r rest
     in
-    for r = max 0 row_lo to min (Array.length idx - 1) row_hi do
+    for r = imax 0 row_lo to imin (Array.length idx - 1) row_hi do
       mark_row r idx.(r)
     done
   | None ->
@@ -339,14 +344,14 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
   let feasible_pair a b =
     let ea = a * 6 and eb = b * 6 in
     let dy_min =
-      max 0 (max (env.(ea + 4) - env.(eb + 5)) (env.(eb + 4) - env.(ea + 5)))
+      imax 0 (imax (env.(ea + 4) - env.(eb + 5)) (env.(eb + 4) - env.(ea + 5)))
     in
     if is_open then
-      min env.(ea + 3) env.(eb + 3) - max env.(ea + 2) env.(eb + 2)
+      imin env.(ea + 3) env.(eb + 3) - imax env.(ea + 2) env.(eb + 2)
       >= params.Params.delta
       && dy_min <= params.Params.gamma * rh
     else
-      max env.(ea) env.(eb) <= min env.(ea + 1) env.(eb + 1)
+      imax env.(ea) env.(eb) <= imin env.(ea + 1) env.(eb + 1)
       && dy_min <= params.Params.closed_gamma * rh
   in
   let found = Array.make (2 * !max_pairs) 0 in
@@ -450,7 +455,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
     bump occ i0 cells.(c).width 1;
     Array.fill owner i0 cells.(c).width c;
     max_incidence :=
-      max !max_incidence
+      imax !max_incidence
         (cell_net_start.(c + 1) - cell_net_start.(c)
         + cell_pair_start.(c + 1) - cell_pair_start.(c))
   done;

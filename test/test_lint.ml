@@ -67,6 +67,23 @@ let test_poly_hash = check_fires "poly-compare" "let f x = Hashtbl.hash x"
 let test_typed_compare_ok =
   check_silent "let f a b = Int.compare a b\nlet g a b = String.compare a b"
 
+(* polymorphic max/min only count inside a [@vm1.hot] function, where
+   each call is a generic compare *)
+let test_hot_max () =
+  Alcotest.(check (list string)) "bare max, Stdlib.min and a nested use"
+    [ "poly-compare"; "poly-compare"; "poly-compare" ]
+    (active_rules
+       "let[@vm1.hot] f a b = max a (Stdlib.min a b)\n\
+        let[@vm1.hot] g a = let h b = min a b in h 0")
+
+let test_hot_max_ok =
+  check_silent
+    "let f a b = max a b\n\
+     let imax (a : int) b = if a >= b then a else b\n\
+     let[@vm1.hot] g a b = imax a (Int.min a b)\n\
+     let max (a : int) b = if a >= b then a else b\n\
+     let[@vm1.hot] h a b = max a b"
+
 (* --- phys-eq --- *)
 
 let test_phys_eq = check_fires "phys-eq" "let f a b = a == b"
@@ -516,6 +533,9 @@ let () =
           Alcotest.test_case "Hashtbl.hash fires" `Quick test_poly_hash;
           Alcotest.test_case "typed comparators pass" `Quick
             test_typed_compare_ok;
+          Alcotest.test_case "max/min in [@vm1.hot] fire" `Quick test_hot_max;
+          Alcotest.test_case "int-only or cold max passes" `Quick
+            test_hot_max_ok;
         ] );
       ( "phys-eq",
         [
