@@ -7,7 +7,51 @@ type t = {
   xs : int array;
   ys : int array;
   orients : Geom.Orient.t array;
+  pin_table : pin_table;
 }
+
+(* Every instance of a master under one orientation has the same pin
+   bounding box up to a shift by its origin, so the box is placed at
+   origin (0, 0) once per (master, orientation). Pin [k] of instance [i]
+   under orientation [o] has its box's lx, ly, hx, hy at
+   [boxes.(4 * (slot.(i) + (4 * k) + orient_index o)) ...]; shifting it
+   by the origin gives the exact placed box, since placing a shape is
+   orienting it and shifting it by the origin. *)
+and pin_table = { slot : int array; boxes : int array }
+
+let orient_index = function
+  | Geom.Orient.N -> 0
+  | FN -> 1
+  | S -> 2
+  | FS -> 3
+
+let pin_table (design : Netlist.Design.t) =
+  let origin = Geom.Point.make 0 0 in
+  (* slots by master name, told apart by identity should two differ *)
+  let slots = Hashtbl.create 64 and next = ref 0 and boxes = ref [] in
+  let slot =
+    Array.map
+      (fun (inst : Netlist.Design.instance) ->
+        let m = inst.master in
+        let same = Option.value ~default:[] (Hashtbl.find_opt slots m.name) in
+        match List.assq_opt m same with
+        | Some s -> s
+        | None ->
+          let s = !next in
+          Hashtbl.replace slots m.name ((m, s) :: same);
+          List.iter
+            (fun pin ->
+              List.iter
+                (fun orient ->
+                  let r = Pdk.Stdcell.placed_pin_bbox m ~orient ~origin pin in
+                  boxes := r.hy :: r.hx :: r.ly :: r.lx :: !boxes;
+                  incr next)
+                Geom.Orient.[ N; FN; S; FS ])
+            m.pins;
+          s)
+      design.instances
+  in
+  { slot; boxes = Array.of_list (List.rev !boxes) }
 
 let total_cell_area (design : Netlist.Design.t) tech =
   Array.fold_left
@@ -43,6 +87,7 @@ let create (design : Netlist.Design.t) ~utilization =
     xs = Array.make n 0;
     ys = Array.make n 0;
     orients = Array.make n Geom.Orient.N;
+    pin_table = pin_table design;
   }
 
 let copy t =
@@ -76,13 +121,25 @@ let pin_shapes t (pr : Netlist.Design.pin_ref) =
     ~origin:(Geom.Point.make t.xs.(pr.inst) t.ys.(pr.inst))
     pin
 
-let pin_bbox t pr =
-  let m, pin = master_pin t pr in
-  Pdk.Stdcell.placed_pin_bbox m ~orient:t.orients.(pr.inst)
-    ~origin:(Geom.Point.make t.xs.(pr.inst) t.ys.(pr.inst))
-    pin
+(* the index of pin [pr]'s local box in [t.pin_table.boxes] *)
+let box t (pr : Netlist.Design.pin_ref) =
+  4
+  * (t.pin_table.slot.(pr.inst) + (4 * pr.pin) + orient_index t.orients.(pr.inst))
 
-let pin_pos t pr = Geom.Rect.center (pin_bbox t pr)
+let pin_bbox t (pr : Netlist.Design.pin_ref) =
+  let b = t.pin_table.boxes and q = box t pr in
+  let r = Geom.Rect.make ~lx:b.(q) ~ly:b.(q + 1) ~hx:b.(q + 2) ~hy:b.(q + 3) in
+  Geom.Rect.shift r (Geom.Point.make t.xs.(pr.inst) t.ys.(pr.inst))
+
+(* [Geom.Rect.center (pin_bbox t pr)], without building the box *)
+let pin_pos t (pr : Netlist.Design.pin_ref) =
+  let b = t.pin_table.boxes and q = box t pr in
+  let lx = b.(q) and ly = b.(q + 1) and hx = b.(q + 2) and hy = b.(q + 3) in
+  if lx > hx || ly > hy then Geom.Point.make ((lx + hx) / 2) ((ly + hy) / 2)
+  else
+    let x = t.xs.(pr.inst) and y = t.ys.(pr.inst) in
+    Geom.Point.make ((lx + x + (hx + x)) / 2) ((ly + y + (hy + y)) / 2)
+
 let pin_x_interval t pr = Geom.Rect.x_span (pin_bbox t pr)
 let row_of_inst t i = t.ys.(i) / t.tech.Pdk.Tech.row_height
 let site_of_inst t i = t.xs.(i) / t.tech.Pdk.Tech.site_width
@@ -152,4 +209,5 @@ let of_def (design : Netlist.Design.t) (p : Netlist.Def_io.placement) =
     xs = Array.copy p.xs;
     ys = Array.copy p.ys;
     orients = Array.copy p.orients;
+    pin_table = pin_table design;
   }

@@ -15,7 +15,13 @@ type t = {
   xs : int array;
   ys : int array;
   orients : Geom.Orient.t array;
+  pin_table : pin_table;
+      (** every master's pin bounding boxes under each orientation,
+          built by [create] and [of_def] from [design] and shared by
+          copies *)
 }
+
+and pin_table
 
 (** [create design ~utilization] sizes a near-square die for the given row
     utilisation and returns a placement with every cell at the origin
