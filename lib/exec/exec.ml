@@ -1,29 +1,27 @@
-module Deque = Deque
-
 (* Metric handles are created once: bumps happen on worker domains and a
    per-call registry lookup would contend on the registry lock. *)
 let c_tasks = Obs.counter "exec.tasks"
-let c_steals = Obs.counter "exec.steals"
 let c_spawns = Obs.counter "exec.domain_spawns"
 let g_pool_size = Obs.gauge "exec.pool_size"
-let g_queue_max = Obs.gauge "exec.queue_depth_max"
 
 (* --- tasks and their cells --- *)
 
 type 'a state =
-  | Pending
+  | Queued  (* not claimed yet *)
+  | Running  (* claimed: exactly one executor won the CAS out of Queued *)
   | Done of 'a
   | Failed of exn
 
 type 'a cell = {
   thunk : unit -> 'a;
   state : 'a state Atomic.t;
-  claimed : bool Atomic.t;  (* exactly one executor wins this CAS *)
   mu : Mutex.t;
-  cond : Condition.t;  (* signalled on every state transition *)
+  cond : Condition.t;  (* broadcast when the task resolves *)
 }
 
 type task = Task : 'a cell -> task
+
+let claim c = Atomic.compare_and_set c.state Queued Running
 
 let resolve c st =
   Atomic.set c.state st;
@@ -31,32 +29,25 @@ let resolve c st =
   Condition.broadcast c.cond;
   Mutex.unlock c.mu
 
-(* Pool-side execution: claim, run under a span. Exceptions land in the
-   cell, never in the worker loop. *)
-let run_task (Task c) =
-  if Atomic.compare_and_set c.claimed false true then begin
-    Obs.Counter.incr c_tasks;
-    match Obs.with_span "exec.task" c.thunk with
-    | v -> resolve c (Done v)
-    | exception e -> resolve c (Failed e)
-  end
+(* Only the claimant calls this. Exceptions land in the cell, never in
+   the worker loop. *)
+let execute c run =
+  Obs.Counter.incr c_tasks;
+  resolve c (match run c.thunk with v -> Done v | exception e -> Failed e)
 
-(* --- the pool --- *)
+let run_task (Task c) = if claim c then execute c (Obs.with_span "exec.task")
+
+(* --- the pool: one FIFO queue, served by every worker --- *)
 
 type pool = {
   n_workers : int;
-  deques : task Deque.t array;  (* one per worker, stealable by all *)
-  inj : task Queue.t;           (* external submissions; guarded by mu *)
+  queue : task Queue.t;  (* guarded by mu *)
   mu : Mutex.t;
-  work_cond : Condition.t;      (* "there may be work" / shutdown *)
-  space_cond : Condition.t;     (* the bounded injector has space *)
-  mutable q_max : int;
+  work : Condition.t;  (* a task was queued, or stop was raised *)
   mutable stop : bool;
   mutable domains : unit Domain.t list;
 }
 
-let queue_capacity = Atomic.make 4096
-let set_queue_capacity n = Atomic.set queue_capacity (max 1 n)
 let requested_jobs = Atomic.make 0 (* 0 = auto *)
 let auto_jobs = lazy (Domain.recommended_domain_count ())
 
@@ -64,312 +55,150 @@ let jobs () =
   let r = Atomic.get requested_jobs in
   if r > 0 then r else Lazy.force auto_jobs
 
+(* [pool_mu] serialises spawning and teardown; readers that only want
+   the live pool (helping awaiters) read the atomic. *)
 let pool_mu = Mutex.create ()
-let pool : pool option ref = ref None
-let exit_hook = ref false
+let pool : pool option Atomic.t = Atomic.make None
 
-(* Worker identity of the calling domain, if any. *)
-let self_key : (pool * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let has_work p =
-  Queue.length p.inj > 0 || Array.exists (fun d -> Deque.size d > 0) p.deques
-
-(* Move a small batch from the injector to [deque] (when the caller is
-   a worker) so that other workers can steal their share; run the first
-   task ourselves. *)
-let take_injector p ~deque =
+let take p =
   Mutex.lock p.mu;
-  if Queue.length p.inj = 0 then begin
-    Mutex.unlock p.mu;
-    None
-  end
-  else begin
-    let first = Queue.pop p.inj in
-    (match deque with
-    | Some d ->
-      let extra = min 3 (Queue.length p.inj) in
-      for _ = 1 to extra do
-        Deque.push d (Queue.pop p.inj)
-      done;
-      if extra > 0 then Condition.broadcast p.work_cond
-    | None -> ());
-    Condition.broadcast p.space_cond;
-    Mutex.unlock p.mu;
-    Some first
-  end
+  let t = Queue.take_opt p.queue in
+  Mutex.unlock p.mu;
+  t
 
-let steal_cursor = Atomic.make 0
-
-let try_steal p ~self =
-  let n = Array.length p.deques in
-  let start = Atomic.fetch_and_add steal_cursor 1 in
-  let rec go k =
-    if k >= n then None
-    else begin
-      let ix = (start + k) mod n in
-      if Some ix = self then go (k + 1)
-      else
-        match Deque.steal p.deques.(ix) with
-        | Some _ as t ->
-          Obs.Counter.incr c_steals;
-          t
-        | None -> go (k + 1)
-    end
-  in
-  go 0
-
-let rec worker_loop p ix =
-  match Deque.pop p.deques.(ix) with
+(* Workers drain the queue before honouring [stop]. *)
+let rec worker_loop p =
+  Mutex.lock p.mu;
+  while Queue.is_empty p.queue && not p.stop do
+    Condition.wait p.work p.mu
+  done;
+  let t = Queue.take_opt p.queue in
+  Mutex.unlock p.mu;
+  match t with
   | Some t ->
     run_task t;
-    worker_loop p ix
-  | None -> (
-    match take_injector p ~deque:(Some p.deques.(ix)) with
-    | Some t ->
-      run_task t;
-      worker_loop p ix
-    | None -> (
-      match try_steal p ~self:(Some ix) with
-      | Some t ->
-        run_task t;
-        worker_loop p ix
-      | None ->
-        Mutex.lock p.mu;
-        if (not p.stop) && not (has_work p) then
-          Condition.wait p.work_cond p.mu;
-        let stop = p.stop in
-        Mutex.unlock p.mu;
-        if not stop then worker_loop p ix))
+    worker_loop p
+  | None -> ()
 
 let make_pool n =
   let p =
     {
       n_workers = n;
-      deques = Array.init n (fun _ -> Deque.create ());
-      inj = Queue.create ();
+      queue = Queue.create ();
       mu = Mutex.create ();
-      work_cond = Condition.create ();
-      space_cond = Condition.create ();
-      q_max = 0;
+      work = Condition.create ();
       stop = false;
       domains = [];
     }
   in
   Obs.Gauge.set g_pool_size (float_of_int (n + 1));
   p.domains <-
-    List.init n (fun ix ->
+    List.init n (fun _ ->
         Obs.Counter.incr c_spawns;
-        Domain.spawn (fun () ->
-            Domain.DLS.set self_key (Some (p, ix));
-            worker_loop p ix));
+        Domain.spawn (fun () -> worker_loop p));
   p
 
 let teardown p =
   Mutex.lock p.mu;
   p.stop <- true;
-  Condition.broadcast p.work_cond;
-  Condition.broadcast p.space_cond;
+  Condition.broadcast p.work;
   Mutex.unlock p.mu;
   List.iter Domain.join p.domains
 
-let shutdown () =
-  Mutex.lock pool_mu;
-  let p = !pool in
-  pool := None;
-  Mutex.unlock pool_mu;
-  match p with Some p -> teardown p | None -> ()
-
-(* Only called with [jobs () > 1], so the pool always has >= 1 worker. *)
-let get_pool () =
-  Mutex.lock pool_mu;
-  let target = jobs () - 1 in
-  let p =
-    match !pool with
-    | Some p when p.n_workers = target -> p
-    | other ->
-      (match other with
-      | Some stale ->
-        pool := None;
-        Mutex.unlock pool_mu;
-        teardown stale;
-        Mutex.lock pool_mu
-      | None -> ());
-      if not !exit_hook then begin
-        exit_hook := true;
-        at_exit shutdown
-      end;
-      let np = make_pool target in
-      pool := Some np;
-      np
-  in
-  Mutex.unlock pool_mu;
-  p
-
-let set_jobs n =
-  let n = max 1 n in
-  Atomic.set requested_jobs n;
+(* Unpublish the live pool if [keep] rejects it, then join it. *)
+let retire keep =
   Mutex.lock pool_mu;
   let stale =
-    match !pool with
-    | Some p when p.n_workers <> n - 1 ->
-      pool := None;
+    match Atomic.get pool with
+    | Some p when not (keep p) ->
+      Atomic.set pool None;
       Some p
     | _ -> None
   in
   Mutex.unlock pool_mu;
-  match stale with Some p -> teardown p | None -> ()
+  Option.iter teardown stale
 
-(* --- submission --- *)
+let shutdown () = retire (fun _ -> false)
+let () = at_exit shutdown
 
-let enqueue p t =
-  match Domain.DLS.get self_key with
-  | Some (wp, ix) when wp == p ->
-    (* nested submission from a worker: its own deque, no bound needed
-       (the worker drains it itself; thieves help) *)
-    Deque.push p.deques.(ix) t;
-    Mutex.lock p.mu;
-    Condition.broadcast p.work_cond;
-    Mutex.unlock p.mu
+(* Only called with [jobs () > 1], so the pool always has >= 1 worker. *)
+let get_pool () =
+  let target = jobs () - 1 in
+  match Atomic.get pool with
+  | Some p when p.n_workers = target -> p
   | _ ->
-    Mutex.lock p.mu;
-    while Queue.length p.inj >= Atomic.get queue_capacity && not p.stop do
-      Condition.wait p.space_cond p.mu
-    done;
-    if not p.stop then begin
-      Queue.push t p.inj;
-      let len = Queue.length p.inj in
-      if len > p.q_max then begin
-        p.q_max <- len;
-        Obs.Gauge.set g_queue_max (float_of_int len)
-      end;
-      Condition.signal p.work_cond
-    end;
-    (* on stop: leave the task unenqueued; its awaiter runs it inline *)
-    Mutex.unlock p.mu
+    retire (fun p -> p.n_workers = target);
+    Mutex.lock pool_mu;
+    let p =
+      match Atomic.get pool with
+      | Some p -> p (* another domain spawned it first *)
+      | None ->
+        let p = make_pool target in
+        Atomic.set pool (Some p);
+        p
+    in
+    Mutex.unlock pool_mu;
+    p
+
+let set_jobs n =
+  let n = max 1 n in
+  Atomic.set requested_jobs n;
+  retire (fun p -> p.n_workers = n - 1)
 
 (* --- futures --- *)
 
-(* The awaiting caller (a) races workers to claim-and-run unstarted
-   tasks inline, which is what makes await deadlock-free with no pool
-   at all, and (b) helps run other tasks while a worker holds its
-   claim. Sequential fallback for Failed lives here too. *)
-
-let run_fallback (c : _ cell) =
-  Mutex.lock c.mu;
-  match Atomic.get c.state with
-  | Done v ->
-    (* another awaiter recomputed first *)
-    Mutex.unlock c.mu;
-    v
-  | _ -> (
-    match c.thunk () with
-    | v ->
-      Atomic.set c.state (Done v);
-      Condition.broadcast c.cond;
-      Mutex.unlock c.mu;
-      v
-    | exception e ->
-      Mutex.unlock c.mu;
-      raise e)
-
-(* Help with one task from anywhere in the pool; false when idle. *)
-let help_once () =
-  Mutex.lock pool_mu;
-  let p = !pool in
-  Mutex.unlock pool_mu;
-  match p with
-  | None -> false
-  | Some p -> (
-    let own, self =
-      match Domain.DLS.get self_key with
-      | Some (wp, ix) when wp == p -> (Deque.pop p.deques.(ix), Some ix)
-      | _ -> (None, None)
-    in
-    match own with
-    | Some t ->
-      run_task t;
-      true
-    | None -> (
-      match take_injector p ~deque:None with
-      | Some t ->
-        run_task t;
-        true
-      | None -> (
-        match try_steal p ~self with
-        | Some t ->
-          run_task t;
-          true
-        | None -> false)))
-
+(* The awaiter claims and runs a still-queued task itself, which keeps
+   await deadlock-free with no pool and under nested parallel calls.
+   While another domain runs the task, the awaiter runs queued tasks
+   and sleeps only when the queue is empty: otherwise the caller of
+   [parallel_for] idles behind a worker that always takes the next
+   chunk first. *)
 let rec await_cell c =
   match Atomic.get c.state with
   | Done v -> v
-  | Failed _ -> run_fallback c
-  | Pending ->
-    if Atomic.compare_and_set c.claimed false true then begin
-      (* unstarted: run it inline *)
-      Obs.Counter.incr c_tasks;
-      match c.thunk () with
-      | v ->
-        resolve c (Done v);
-        v
-      | exception e ->
-        resolve c (Failed e);
-        raise e
-    end
-    else begin
-      (* an executor holds the claim: help elsewhere, else sleep until
-         the resolution broadcast *)
-      if not (help_once ()) then begin
-        Mutex.lock c.mu;
-        (match Atomic.get c.state with
-        | Pending -> Condition.wait c.cond c.mu
-        | _ -> ());
-        Mutex.unlock c.mu
-      end;
-      await_cell c
-    end
+  | Failed e -> raise e
+  | Queued when claim c ->
+    execute c (fun f -> f ());
+    await_cell c
+  | Queued | Running ->
+    (match Option.bind (Atomic.get pool) take with
+    | Some t -> run_task t
+    | None ->
+      Mutex.lock c.mu;
+      (match Atomic.get c.state with
+      | Running -> Condition.wait c.cond c.mu
+      | _ -> ());
+      Mutex.unlock c.mu);
+    await_cell c
 
 module Future = struct
-  type _ t =
-    | Pure : 'a -> 'a t
-    | Cell : 'a cell -> 'a t
-    | Map : ('a -> 'b) * 'a t -> 'b t
-    | All : 'a t list -> 'a list t
+  type 'a t =
+    | Pure of 'a
+    | Cell of 'a cell
 
   let return v = Pure v
-  let map f t = Map (f, t)
-  let all ts = All ts
-
-  let rec await : type a. a t -> a = function
-    | Pure v -> v
-    | Cell c -> await_cell c
-    | Map (f, t) -> f (await t)
-    | All ts -> List.map (fun t -> await t) ts
-
-  let rec poll : type a. a t -> a option = function
-    | Pure v -> Some v
-    | Cell c -> (
-      match Atomic.get c.state with Done v -> Some v | _ -> None)
-    | Map (f, t) -> Option.map f (poll t)
-    | All ts ->
-      let vs = List.map (fun t -> poll t) ts in
-      if List.for_all Option.is_some vs then Some (List.map Option.get vs)
-      else None
+  let await = function Pure v -> v | Cell c -> await_cell c
 end
 
 let submit thunk =
   let c =
     {
       thunk;
-      state = Atomic.make Pending;
-      claimed = Atomic.make false;
+      state = Atomic.make Queued;
       mu = Mutex.create ();
       cond = Condition.create ();
     }
   in
-  if jobs () > 1 then enqueue (get_pool ()) (Task c);
+  if jobs () > 1 then begin
+    let p = get_pool () in
+    Mutex.lock p.mu;
+    (* a stopped pool takes nothing; the awaiter runs the task itself *)
+    if not p.stop then begin
+      Queue.push (Task c) p.queue;
+      Condition.signal p.work
+    end;
+    Mutex.unlock p.mu
+  end;
   Future.Cell c
 
 (* --- domain-local slots --- *)
@@ -427,10 +256,6 @@ let parallel_map ?chunk f xs =
 module Bg = struct
   type t = { stop_flag : bool Atomic.t; dom : unit Domain.t }
 
-  (* Deliberately does not bump exec.domain_spawns: that counter means
-     "pool workers created" (a test asserts it never moves mid-run),
-     and it is embedded in traced-job replies — a service domain for
-     the admin plane must not perturb job payloads. *)
   let spawn body =
     let stop_flag = Atomic.make false in
     let dom =

@@ -1,36 +1,29 @@
-(** Work-stealing domain-pool scheduler: the execution substrate under
-    every parallel hot loop of the flow (DistOpt window batches, the
-    region-sharded routing pass, the benchmark harness).
-
-    Design constraints, in order:
+(** Domain-pool scheduler: the execution substrate under every
+    parallel loop of the flow (DistOpt window batches, the
+    region-sharded routing pass, experiment-matrix cells, [vm1d] jobs).
 
     - {b One pool per process, spawned once.} Workers are persistent
       domains; after warm-up no [Domain.spawn] happens mid-run (the
-      [exec.domain_spawns] counter proves it). Spawn-per-batch, which
-      the first DistOpt implementation paid, is exactly what this
-      library removes.
+      [exec.domain_spawns] counter proves it).
     - {b Deterministic results.} [parallel_map] and [parallel_for]
-      write results by index, so the outcome is identical to the
-      sequential loop for every pool size — callers rely on
-      [--jobs N] being bit-identical to [--jobs 1].
-    - {b Graceful degradation to sequential execution.} With
-      [jobs () <= 1] nothing is spawned and everything runs inline. A
-      task whose worker raised is re-run sequentially by the awaiting
-      caller: [Future.await] never crashes the pool and never hangs a
-      join.
-    - {b Work stealing, bounded injection.} Each worker owns a
-      Chase–Lev deque ({!Deque}); idle workers steal. External
-      submissions go through a bounded queue — a full queue blocks the
-      submitter (backpressure) instead of growing without bound.
+      write results by index, so [--jobs N] is bit-identical to
+      [--jobs 1]. With [jobs () <= 1] nothing is spawned and
+      everything runs inline.
+    - {b One shared FIFO queue} under one mutex, served by
+      [jobs () - 1] worker domains. There is no stealing: the tasks
+      (window solves, tile groups, matrix cells, jobs) are coarse.
+    - {b Awaiting helps.} [Future.await] runs a task nobody has
+      started yet itself; while another domain runs it, the awaiter
+      runs queued tasks and sleeps only when the queue is empty. This
+      keeps nested parallel calls from worker domains deadlock-free.
+    - {b A raising task fails once.} [Future.await] re-raises its
+      exception; the thunk is never re-run.
 
     Instrumented through [lib/obs] (all no-ops until [Obs.set_enabled]):
-    counters [exec.tasks], [exec.steals], [exec.domain_spawns]; gauges [exec.pool_size], [exec.queue_depth_max];
-    span [exec.task] around each pool-executed task (a root span of its
-    worker domain, see the span-forest notes in ARCHITECTURE.md). *)
-
-(** The work-stealing deque the pool is built on, re-exported for
-    direct use and for the deque unit/property tests. *)
-module Deque : module type of Deque
+    counters [exec.tasks], [exec.domain_spawns]; gauge [exec.pool_size];
+    span [exec.task] around each task run by a worker or by a helping
+    awaiter (a root span of its worker domain, see the span-forest notes
+    in ARCHITECTURE.md). *)
 
 (** {1 Pool configuration} *)
 
@@ -46,10 +39,6 @@ val jobs : unit -> int
     call respawns at the new size. *)
 val set_jobs : int -> unit
 
-(** [set_queue_capacity n] bounds the external submission queue
-    (default 4096, clamped to >= 1); submitters block while it is full. *)
-val set_queue_capacity : int -> unit
-
 (** [shutdown ()] stops and joins the worker domains, if any. Pending
     pool tasks are not lost: their awaiters run them inline. Installed
     via [at_exit] automatically; call it directly to force a respawn or
@@ -59,39 +48,22 @@ val shutdown : unit -> unit
 (** {1 Futures} *)
 
 module Future : sig
-  (** A handle on a submitted task (or a pure/derived value). *)
+  (** A handle on a submitted task or a pure value. *)
   type 'a t
 
-  (** [await t] returns the task's value, claiming and running it
-      inline if no worker got to it first — so [await] always makes
-      progress, even with no pool. If the pool's run raised, the thunk
-      is re-run sequentially by the caller (the sequential-fallback
-      guarantee); an exception from that sequential run propagates. *)
+  (** [await t] returns the task's value. It runs the task inline if no
+      worker has started it, so [await] always makes progress, even
+      with no pool. If the task raised, [await] re-raises that
+      exception. *)
   val await : 'a t -> 'a
 
-  (** [poll t] is [Some v] once the value is available, without
-      blocking or helping. *)
-  val poll : 'a t -> 'a option
-
-  (** [return v] is an already-completed future holding [v]; [await]
-      and [poll] yield it immediately. *)
+  (** [return v] is an already-completed future holding [v]. *)
   val return : 'a -> 'a t
-
-  (** [map f t] is a future for [f] applied to [t]'s value. [f] runs
-      in the caller on every [await] (or successful [poll]) — it is not
-      memoised, so it should be cheap and pure. *)
-  val map : ('a -> 'b) -> 'a t -> 'b t
-
-  (** [all ts] is a future for the values of [ts], in order. Awaiting
-      it awaits each in turn (helping inline as usual); there is no
-      early exit on failure. *)
-  val all : 'a t list -> 'a list t
 end
 
 (** [submit f] schedules [f] on the pool and returns its future. With
     [jobs () <= 1] nothing is enqueued and [await] runs [f] inline.
-    Thunks must tolerate being re-run when they raise (the fallback
-    path); pure thunks and idempotent writes qualify. *)
+    [f] runs exactly once. *)
 val submit : (unit -> 'a) -> 'a Future.t
 
 (** {1 Domain-local slots} *)

@@ -121,19 +121,25 @@ let pin_shapes t (pr : Netlist.Design.pin_ref) =
     ~origin:(Geom.Point.make t.xs.(pr.inst) t.ys.(pr.inst))
     pin
 
-(* the index of pin [pr]'s local box in [t.pin_table.boxes] *)
-let box t (pr : Netlist.Design.pin_ref) =
-  4
-  * (t.pin_table.slot.(pr.inst) + (4 * pr.pin) + orient_index t.orients.(pr.inst))
+(* the index of pin [pr]'s local box under [orient] in [t.pin_table.boxes] *)
+let box t (pr : Netlist.Design.pin_ref) orient =
+  4 * (t.pin_table.slot.(pr.inst) + (4 * pr.pin) + orient_index orient)
+
+(* an empty box is not shifted, as [Geom.Rect.shift] leaves it *)
+let pin_box_at t pr ~x ~y ~orient k =
+  let b = t.pin_table.boxes and q = box t pr orient in
+  let lx = b.(q) and ly = b.(q + 1) and hx = b.(q + 2) and hy = b.(q + 3) in
+  if lx > hx || ly > hy then k lx ly hx hy
+  else k (lx + x) (ly + y) (hx + x) (hy + y)
 
 let pin_bbox t (pr : Netlist.Design.pin_ref) =
-  let b = t.pin_table.boxes and q = box t pr in
-  let r = Geom.Rect.make ~lx:b.(q) ~ly:b.(q + 1) ~hx:b.(q + 2) ~hy:b.(q + 3) in
-  Geom.Rect.shift r (Geom.Point.make t.xs.(pr.inst) t.ys.(pr.inst))
+  pin_box_at t pr ~x:t.xs.(pr.inst) ~y:t.ys.(pr.inst)
+    ~orient:t.orients.(pr.inst) (fun lx ly hx hy ->
+      Geom.Rect.make ~lx ~ly ~hx ~hy)
 
 (* [Geom.Rect.center (pin_bbox t pr)], without building the box *)
 let pin_pos t (pr : Netlist.Design.pin_ref) =
-  let b = t.pin_table.boxes and q = box t pr in
+  let b = t.pin_table.boxes and q = box t pr t.orients.(pr.inst) in
   let lx = b.(q) and ly = b.(q + 1) and hx = b.(q + 2) and hy = b.(q + 3) in
   if lx > hx || ly > hy then Geom.Point.make ((lx + hx) / 2) ((ly + hy) / 2)
   else

@@ -43,6 +43,15 @@ val instance_rect : t -> int -> Geom.Rect.t
     coordinates, the point used for HPWL and routing. *)
 val pin_pos : t -> Netlist.Design.pin_ref -> Geom.Point.t
 
+(** [pin_box_at t pr ~x ~y ~orient k] is [k lx ly hx hy], the bounding
+    box pin [pr] has when its instance sits at origin [(x, y)] with
+    [orient] — the instance's own placement or a candidate one. The box
+    is read from [t.pin_table]; an empty box is passed unshifted, as
+    {!Geom.Rect.shift} leaves it. *)
+val pin_box_at :
+  t -> Netlist.Design.pin_ref -> x:int -> y:int -> orient:Geom.Orient.t ->
+  (int -> int -> int -> int -> 'a) -> 'a
+
 (** [pin_shapes t pr] is the pin's placed physical shapes. *)
 val pin_shapes : t -> Netlist.Design.pin_ref -> (Pdk.Layer.t * Geom.Rect.t) list
 

@@ -5,33 +5,16 @@ type pin_geom = {
   y : int;
 }
 
-let of_bbox (r : Geom.Rect.t) =
-  {
-    ax = (r.lx + r.hx) / 2;
-    x_lo = r.lx;
-    x_hi = r.hx;
-    y = (r.ly + r.hy) / 2;
-  }
+let of_bbox lx ly hx hy =
+  { ax = (lx + hx) / 2; x_lo = lx; x_hi = hx; y = (ly + hy) / 2 }
 
-let master_pin (p : Place.Placement.t) (pr : Netlist.Design.pin_ref) =
-  let m = p.design.Netlist.Design.instances.(pr.inst).master in
-  (m, List.nth m.Pdk.Stdcell.pins pr.pin)
-
-let of_placed p pr =
-  let m, pin = master_pin p pr in
-  of_bbox
-    (Pdk.Stdcell.placed_pin_bbox m ~orient:p.orients.(pr.inst)
-       ~origin:(Geom.Point.make p.xs.(pr.inst) p.ys.(pr.inst))
-       pin)
+let of_placed (p : Place.Placement.t) (pr : Netlist.Design.pin_ref) =
+  Place.Placement.pin_box_at p pr ~x:p.xs.(pr.inst) ~y:p.ys.(pr.inst)
+    ~orient:p.orients.(pr.inst) of_bbox
 
 let of_candidate (p : Place.Placement.t) pr ~site ~row ~orient =
-  let m, pin = master_pin p pr in
-  let tech = p.tech in
-  let origin =
-    Geom.Point.make (site * tech.Pdk.Tech.site_width)
-      (row * tech.Pdk.Tech.row_height)
-  in
-  of_bbox (Pdk.Stdcell.placed_pin_bbox m ~orient ~origin pin)
+  Place.Placement.pin_box_at p pr ~x:(site * p.tech.Pdk.Tech.site_width)
+    ~y:(row * p.tech.Pdk.Tech.row_height) ~orient of_bbox
 
 (* The predicates on raw coordinates are the definitions; the record
    forms below read their fields into them. The window solver's packed

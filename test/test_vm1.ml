@@ -91,21 +91,46 @@ let test_pair_gain () =
 
 let test_align_of_candidate_matches_placed () =
   let p = placed closed_lib in
+  let tech = p.Place.Placement.tech in
   (* for every pin: of_candidate at the current site/row/orient equals
-     of_placed *)
+     of_placed, and at every orientation one site and row further it
+     equals the box of the master's re-placed shapes *)
   for i = 0 to 40 do
     let inst = p.Place.Placement.design.Netlist.Design.instances.(i) in
+    let site = Place.Placement.site_of_inst p i
+    and row = Place.Placement.row_of_inst p i in
     List.iteri
-      (fun k _ ->
+      (fun k pin ->
         let pr = { Netlist.Design.inst = i; pin = k } in
         let a = Vm1.Align.of_placed p pr in
         let b =
-          Vm1.Align.of_candidate p pr
-            ~site:(Place.Placement.site_of_inst p i)
-            ~row:(Place.Placement.row_of_inst p i)
+          Vm1.Align.of_candidate p pr ~site ~row
             ~orient:p.Place.Placement.orients.(i)
         in
-        checkb "geom equal" true (a = b))
+        checkb "geom equal" true (a = b);
+        List.iter
+          (fun orient ->
+            let r =
+              Pdk.Stdcell.placed_pin_bbox inst.master ~orient
+                ~origin:
+                  (Geom.Point.make
+                     ((site + 1) * tech.Pdk.Tech.site_width)
+                     ((row + 1) * tech.Pdk.Tech.row_height))
+                pin
+            in
+            let c =
+              Vm1.Align.of_candidate p pr ~site:(site + 1) ~row:(row + 1)
+                ~orient
+            in
+            checkb "candidate = re-placed shapes" true
+              (c
+              = {
+                  Vm1.Align.ax = (r.lx + r.hx) / 2;
+                  x_lo = r.lx;
+                  x_hi = r.hx;
+                  y = (r.ly + r.hy) / 2;
+                }))
+          Geom.Orient.[ N; FN; S; FS ])
       inst.master.Pdk.Stdcell.pins
   done
 
