@@ -9,13 +9,6 @@ let run paths json rules_only baseline_file update_baseline explain
     List.iter
       (fun (r : Lint.rule) -> Printf.printf "%-18s %s\n" r.name r.summary)
       Lint.rules;
-    print_newline ();
-    print_endline "Vetted allowlist:";
-    List.iter
-      (fun (v : Lint.vetted_site) ->
-        Printf.printf "%-18s %s %s\n  %s\n" v.v_rule v.path_suffix
-          v.ident_prefix v.justification)
-      Lint.vetted;
     0
   end
   else begin
@@ -73,7 +66,7 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let rules_arg =
-  let doc = "Print the rule list and the vetted allowlist, then exit." in
+  let doc = "Print the rule list, then exit." in
   Arg.(value & flag & info [ "rules" ] ~doc)
 
 let baseline_arg =

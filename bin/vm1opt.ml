@@ -80,7 +80,7 @@ let parallel =
 
 let jobs =
   Arg.(value & opt int 0 & info [ "jobs" ]
-         ~doc:"Size of the shared domain pool used by --parallel and the                sharded routing pass (caller + workers). 0 picks the                recommended domain count. Results are byte-identical for                every value." ~docv:"N")
+         ~doc:"Size of the shared domain pool used by --parallel (caller +                workers). 0 picks the recommended domain count. Results                are byte-identical for every value." ~docv:"N")
 
 let trace =
   Arg.(value & opt (some string) None & info [ "trace" ]
@@ -92,7 +92,7 @@ let metrics =
 
 let check =
   Arg.(value & flag & info [ "check" ]
-         ~doc:"After optimising, run the flow sanitizer (lib/check): design                and placement legality, window diagonal-independence,                objective recount, a routing run with the shard-write                monitor armed, and MILP feasibility re-verification on a                sample window. Non-zero exit on any violation.")
+         ~doc:"After optimising, run the flow sanitizer (lib/check): design                and placement legality, window diagonal-independence,                objective recount, routing-result re-verification, and MILP                feasibility re-verification on a sample window. Non-zero exit on any violation.")
 
 let run design arch scale utilization alpha sequence solver dump_prefix
     svg_prefix parallel jobs trace metrics check =

@@ -247,15 +247,6 @@ let route_result (r : Route.Router.result) =
     r.routes;
   List.rev !problems
 
-let shard_violations () =
-  List.map
-    (fun (v : Obs.Scopemon.violation) ->
-      Printf.sprintf
-        "domain %d wrote grid node %d outside its declared scope%s"
-        v.domain_id v.value
-        (if v.label = "" then "" else " " ^ v.label))
-    (Obs.Scopemon.violations ())
-
 type finding = {
   oracle : string;
   problems : string list;
@@ -296,11 +287,7 @@ let flow (params : Vm1.Params.t) (p : Place.Placement.t) =
   let bw = max 16 (20_000 / sw) and bh = max 4 (20_000 / rh) in
   add "windows" (windows p ~tx:0 ~ty:0 ~bw ~bh);
   add "objective" (objective_counts params p (Vm1.Objective.counts params p));
-  Obs.Scopemon.arm ();
-  let r = Route.Router.route p in
-  Obs.Scopemon.disarm ();
-  add "shard-monitor" (shard_violations ());
-  add "route" (route_result r);
+  add "route" (route_result (Route.Router.route p));
   add "milp" (milp_window params p ~bw ~bh);
   List.rev !findings
 

@@ -53,12 +53,6 @@ val milp_solution : Vm1.Wproblem.t -> Milp.Bnb.solution -> string list
       node count as connected, matching the router's empty-path case). *)
 val route_result : Route.Router.result -> string list
 
-(** [shard_violations ()] formats the write-scope monitor's captured
-    out-of-tile writes ({!Obs.Scopemon.violations}) — non-empty means a
-    domain of the sharded routing pass wrote a grid cell outside its
-    declared tile. *)
-val shard_violations : unit -> string list
-
 type finding = {
   oracle : string;        (** oracle name, e.g. ["placement"] *)
   problems : string list; (** empty = passed *)
@@ -66,9 +60,8 @@ type finding = {
 
 (** [flow params p] runs the whole sanitizer on a placed design: design
     and placement oracles, window partition (first step of the default
-    sequence), objective recount, a routing run with the shard-write
-    monitor armed (route + shard-monitor oracles), and the MILP
-    feasibility re-verification on a small extracted window (with
+    sequence), objective recount, a routing run (route oracle), and the
+    MILP feasibility re-verification on a small extracted window (with
     [Vm1.Formulate.verify] set for the solve). Returns one finding per
     oracle, in run order. *)
 val flow : Vm1.Params.t -> Place.Placement.t -> finding list

@@ -1,6 +1,6 @@
 (** Domain-pool scheduler: the execution substrate under every
-    parallel loop of the flow (DistOpt window batches, the
-    region-sharded routing pass, experiment-matrix cells, [vm1d] jobs).
+    parallel loop of the flow (DistOpt window batches,
+    experiment-matrix cells, [vm1d] jobs). The router does not use it.
 
     - {b One pool per process, spawned once.} Workers are persistent
       domains; after warm-up no [Domain.spawn] happens mid-run (the
@@ -11,7 +11,7 @@
       everything runs inline.
     - {b One shared FIFO queue} under one mutex, served by
       [jobs () - 1] worker domains. There is no stealing: the tasks
-      (window solves, tile groups, matrix cells, jobs) are coarse.
+      (window solves, matrix cells, jobs) are coarse.
     - {b Awaiting helps.} [Future.await] runs a task nobody has
       started yet itself; while another domain runs it, the awaiter
       runs queued tasks and sleeps only when the queue is empty. This

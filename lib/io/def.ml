@@ -346,13 +346,7 @@ let parse src =
   | doc -> Ok doc
   | exception E e -> Error e
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_file path = parse (read_whole_file path)
+let parse_file path = parse (Lex.read_whole_file path)
 
 (* --- mapping --------------------------------------------------------- *)
 
@@ -547,4 +541,4 @@ let read lib s =
   | Error e -> Error (Lex.error_to_string e)
   | Ok doc -> to_design lib doc
 
-let read_file lib path = read lib (read_whole_file path)
+let read_file lib path = read lib (Lex.read_whole_file path)

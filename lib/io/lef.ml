@@ -345,10 +345,4 @@ let parse src =
   | lib -> Ok lib
   | exception E e -> Error e
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_file path = parse (read_whole_file path)
+let parse_file path = parse (Lex.read_whole_file path)

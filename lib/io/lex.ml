@@ -85,3 +85,9 @@ let next t =
     r
 
 let pos_after t = t.last_end
+
+let read_whole_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -1,4 +1,5 @@
-(** Tokenizer shared by the DEF and LEF subset parsers.
+(** Tokenizer shared by the DEF and LEF subset parsers, and the one
+    whole-file reader every [lib/io] loader uses.
 
     Splits a source text into whitespace-separated words, treating the
     structural characters ['('], [')'] and [';'] as single-character
@@ -43,3 +44,7 @@ val next : t -> token option
 (** [pos_after t] is the (line, col) just past the last consumed
     token — the position reported when input ends prematurely. *)
 val pos_after : t -> int * int
+
+(** [read_whole_file path] is the file's bytes, read in binary mode.
+    Raises [Sys_error] when [path] cannot be opened or read. *)
+val read_whole_file : string -> string

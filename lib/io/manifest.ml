@@ -295,14 +295,8 @@ let parse s =
   let* j = Obs.Json.parse s in
   of_json j
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load path =
-  let* m = parse (read_whole_file path) in
+  let* m = parse (Lex.read_whole_file path) in
   let dir = Filename.dirname path in
   let resolve p = if Filename.is_relative p then Filename.concat dir p else p in
   let entries =
@@ -328,7 +322,7 @@ let load path =
 (* external paths are replaced by their file-content digests, so the
    key does not depend on where the manifest (or the process) lives *)
 let digest m =
-  let file_key p = Digest.to_hex (Digest.string (read_whole_file p)) in
+  let file_key p = Digest.to_hex (Digest.string (Lex.read_whole_file p)) in
   let canon_entry e =
     match e.source with
     | Generate _ -> e

@@ -46,8 +46,7 @@ let rules =
     { name = "domain-prims";
       summary =
         "Domain/Mutex/Condition/Atomic/Thread belong to lib/exec and \
-         lib/obs; shared mutable state elsewhere must be vetted \
-         explicitly (propagates through callers)" };
+         lib/obs (propagates through callers)" };
     { name = "global-random";
       summary =
         "global Random state (or make_self_init) is unseeded; use \
@@ -99,31 +98,12 @@ type finding = {
 type verdict =
   | Active
   | Suppressed
-  | Vetted
   | Baselined
 
 type report = {
   findings : (verdict * finding) list;
   parse_error : string option;
 }
-
-type vetted_site = {
-  v_rule : string;
-  path_suffix : string;
-  ident_prefix : string;
-  justification : string;
-}
-
-let vetted =
-  [
-    { v_rule = "domain-prims";
-      path_suffix = "lib/route/grid.ml";
-      ident_prefix = "Atomic.";
-      justification =
-        "the overflow-edge total is the one cell the region-sharded \
-         routing pass shares between domains; concurrent tiles commit \
-         to disjoint edges and nets but bump this one atomic counter" };
-  ]
 
 (* --- path classification -------------------------------------------- *)
 
@@ -542,20 +522,11 @@ let walk_file ~path ~sup ~nodes ~next_id str =
       }
       :: !locals;
     (* taints feed phase 2 unless silenced at the source: a suppressed
-       or vetted primitive must not re-surface through its callers *)
+       primitive must not re-surface through its callers *)
     match !cur with
     | Some n when List.mem rule taint_rules ->
-      let vetted_here =
-        List.exists
-          (fun v ->
-            v.v_rule = rule
-            && ends_with v.path_suffix rel
-            && starts_with v.ident_prefix prim)
-          vetted
-      in
-      if
-        (not (suppressed sup ~rule ~line:p.pos_lnum)) && not vetted_here
-      then n.n_taints <- { t_rule = rule; t_prim = prim } :: n.n_taints
+      if not (suppressed sup ~rule ~line:p.pos_lnum) then
+        n.n_taints <- { t_rule = rule; t_prim = prim } :: n.n_taints
     | _ -> ()
   in
   let record_alloc (loc : Location.t) kind =
@@ -636,7 +607,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
         ~message:
           (name
          ^ " outside lib/exec and lib/obs; route parallelism through the \
-            Exec pool or add a vetted-allowlist entry")
+            Exec pool")
     else if
       starts_with "Random." name
       && ((not (starts_with "Random.State." name))
@@ -1266,17 +1237,7 @@ let classify_raw ~sup_of ~baseline (r : raw) ~ordinal : verdict * finding =
     | Some sup -> suppressed sup ~rule:r.r_rule ~line:r.r_line
     | None -> false
   in
-  let is_vetted =
-    r.r_witness = [] && r.r_rule <> "hot-alloc"
-    && List.exists
-         (fun v ->
-           v.v_rule = r.r_rule
-           && ends_with v.path_suffix r.r_file
-           && starts_with v.ident_prefix r.r_prim)
-         vetted
-  in
   if is_suppressed then (Suppressed, f)
-  else if is_vetted then (Vetted, f)
   else if List.mem_assoc fingerprint baseline then (Baselined, f)
   else (Active, f)
 
@@ -1355,7 +1316,7 @@ let run_sources ?(baseline = empty_baseline) sources =
         (fun (v, f) ->
           match v with
           | Active | Baselined -> Hashtbl.replace seen f.fingerprint ()
-          | Suppressed | Vetted -> ())
+          | Suppressed -> ())
         r.findings)
     reports;
   let stale =
@@ -1432,7 +1393,7 @@ let baseline_entries run =
               Some
                 ( f.fingerprint,
                   { b_rule = f.rule; b_file = f.file; b_fn = f.fn } )
-            | Suppressed | Vetted -> None)
+            | Suppressed -> None)
           r.findings)
       run.reports
   in
@@ -1512,7 +1473,6 @@ let to_json run =
       ("findings", by_verdict Active);
       ("baselined_findings", by_verdict Baselined);
       ("suppressed", by_verdict Suppressed);
-      ("vetted", by_verdict Vetted);
       ( "stale_baseline",
         Obs.Json.List
           (List.map
@@ -1560,7 +1520,6 @@ let pp_human ?(explain = false) ppf run =
             match v with
             | Active -> ""
             | Suppressed -> " (suppressed)"
-            | Vetted -> " (vetted)"
             | Baselined -> " (baselined)"
           in
           Format.fprintf ppf "%s:%d:%d: [%s]%s %s@." f.file f.line f.col
@@ -1583,8 +1542,8 @@ let pp_human ?(explain = false) ppf run =
     run.stale;
   Format.fprintf ppf
     "vm1lint: %d files, %d functions, %d call edges, %d active, %d \
-     baselined, %d suppressed, %d vetted, %d stale, %d parse errors@."
+     baselined, %d suppressed, %d stale, %d parse errors@."
     run.files_scanned run.functions run.call_edges (count run Active)
-    (count run Baselined) (count run Suppressed) (count run Vetted)
+    (count run Baselined) (count run Suppressed)
     (List.length run.stale)
     (List.length (parse_errors run))

@@ -29,7 +29,7 @@
 
     Suppression comments ([(* vm1lint: allow RULE *)], [allow-line],
     [allow-next]) work as in v1 and also stop a primitive's taint from
-    propagating, as does a {!vetted} allowlist hit. Every finding
+    propagating. Every finding
     carries a stable {e fingerprint}; the committed ratchet baseline
     ([lint_baseline.json], schema [vm1dp-lint-baseline/1]) downgrades
     known-debt fingerprints to {!Baselined} so [@lint] fails only on
@@ -68,7 +68,6 @@ type finding = {
 type verdict =
   | Active      (** counts against the lint *)
   | Suppressed  (** silenced by a [vm1lint: allow*] comment *)
-  | Vetted      (** on the central allowlist *)
   | Baselined   (** known debt: fingerprint in the ratchet baseline *)
 
 type report = {
@@ -78,18 +77,6 @@ type report = {
   parse_error : string option;
       (** a file that does not parse is itself a finding *)
 }
-
-(** One vetted-allowlist entry: [rule] findings in files whose path ends
-    with [path_suffix], on primitives starting with [ident_prefix], are
-    downgraded to {!Vetted} and their taint does not propagate. *)
-type vetted_site = {
-  v_rule : string;
-  path_suffix : string;
-  ident_prefix : string;
-  justification : string;
-}
-
-val vetted : vetted_site list
 
 (** {1 The ratchet baseline} *)
 
@@ -150,9 +137,9 @@ val ml_files_under : string list -> string list
 
 val run_paths : ?baseline:baseline -> string list -> run
 
-(** [active run] is the number of active (unsuppressed, unvetted,
-    unbaselined) findings plus parse errors — the count that must be
-    zero for [@lint] to pass. *)
+(** [active run] is the number of active (unsuppressed, unbaselined)
+    findings plus parse errors — the count that must be zero for
+    [@lint] to pass. *)
 val active : run -> int
 
 (** [to_json run] is the machine-readable report, schema

@@ -751,66 +751,3 @@ let write_trace path =
     (fun () ->
       output_string oc (Json.to_string (trace_json (snapshot ())));
       output_char oc '\n')
-
-(* --- write-scope monitor -------------------------------------------- *)
-
-module Scopemon = struct
-  type violation = {
-    domain_id : int;
-    value : int;
-    label : string;
-  }
-
-  let armed = Atomic.make false
-  let mu = Mutex.create ()
-  let captured : violation list ref = ref []
-
-  type scope = {
-    pred : (int -> bool) option;
-    label : string;
-  }
-
-  let scope_key : scope Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { pred = None; label = "" })
-
-  let arm () =
-    Mutex.lock mu;
-    captured := [];
-    Mutex.unlock mu;
-    Atomic.set armed true
-
-  let disarm () =
-    Atomic.set armed false;
-    Domain.DLS.set scope_key { pred = None; label = "" }
-
-  let set_scope ?(label = "") pred =
-    Domain.DLS.set scope_key { pred; label }
-
-  let clear_scope () = Domain.DLS.set scope_key { pred = None; label = "" }
-
-  let record value =
-    if Atomic.get armed then begin
-      let s = Domain.DLS.get scope_key in
-      match s.pred with
-      | None -> ()
-      | Some ok ->
-        if not (ok value) then begin
-          let v =
-            {
-              domain_id = (Domain.self () :> int);
-              value;
-              label = s.label;
-            }
-          in
-          Mutex.lock mu;
-          captured := v :: !captured;
-          Mutex.unlock mu
-        end
-    end
-
-  let violations () =
-    Mutex.lock mu;
-    let v = List.rev !captured in
-    Mutex.unlock mu;
-    v
-end

@@ -289,48 +289,3 @@ val trace_json : snapshot -> Json.t
 (** [write_trace path] takes a snapshot and writes its JSON trace to
     [path]. *)
 val write_trace : string -> unit
-
-(** {1 Write-scope monitor}
-
-    A lockset-style race detector for the one place the flow shares
-    mutable state between domains: the routing grid during the
-    region-sharded parallel pass. Each worker declares the scope it may
-    legally write (its tile, as a predicate over an opaque int key — the
-    router uses grid node ids); every instrumented write calls
-    {!Scopemon.record}, and a write outside the caller's declared scope
-    is captured as a violation. When disarmed (the default) the cost per
-    write is one atomic load and branch. *)
-
-module Scopemon : sig
-  type violation = {
-    domain_id : int;  (** the domain that performed the write *)
-    value : int;      (** the key that was written *)
-    label : string;   (** the writer's scope label, e.g. ["tile(2,3)"] *)
-  }
-
-  (** [arm ()] clears captured violations and enables recording
-      process-wide. *)
-  val arm : unit -> unit
-
-  (** [disarm ()] stops recording (captured violations are kept until the
-      next {!arm}) and clears the calling domain's scope. *)
-  val disarm : unit -> unit
-
-  (** [set_scope ?label pred] declares the calling domain's legal write
-      scope; [None] means unrestricted (e.g. the sequential phase).
-      Scopes are per-domain ([Domain.DLS]); a pool worker must set its
-      scope inside the task body. *)
-  val set_scope : ?label:string -> (int -> bool) option -> unit
-
-  (** [clear_scope ()] is [set_scope None]. *)
-  val clear_scope : unit -> unit
-
-  (** [record key] checks [key] against the calling domain's scope; called
-      by instrumented writers (grid commit/uncommit). No-op when
-      disarmed. *)
-  val record : int -> unit
-
-  (** [violations ()] is the captured out-of-scope writes since the last
-      {!arm}, in capture order. *)
-  val violations : unit -> violation list
-end

@@ -25,7 +25,8 @@ let prepare ?(scale = 8) ?(utilization = 0.75) ?(detailed = true) name arch =
       let design = Netlist.Designs.make ~scale name arch in
       prepare_placement ~utilization ~detailed design)
 
-let evaluate ?clock_ps ?router_config (params : Vm1.Params.t)
+(* [evaluate] that also hands back the route it measured *)
+let measure ?clock_ps ?router_config (params : Vm1.Params.t)
     (p : Place.Placement.t) =
   Obs.with_span "flow.evaluate" (fun () ->
   let r = Route.Router.route ?config:router_config p in
@@ -45,7 +46,21 @@ let evaluate ?clock_ps ?router_config (params : Vm1.Params.t)
       drvs = s.drvs;
       alignments = counts.Vm1.Objective.alignments;
     },
-    timing.Sta.Timing.clock_ps ))
+    timing.Sta.Timing.clock_ps,
+    r ))
+
+let evaluate ?clock_ps ?router_config params p =
+  let e, clock_ps, _ = measure ?clock_ps ?router_config params p in
+  (e, clock_ps)
+
+type baseline = {
+  init : eval;
+  clock_ps : float;
+}
+
+let baseline ?router_config params p =
+  let init, clock_ps, r = measure ?router_config params p in
+  ({ init; clock_ps }, r)
 
 type comparison = {
   design_name : string;
@@ -56,21 +71,25 @@ type comparison = {
   opt_runtime_s : float;
 }
 
-let run_comparison ?router_config ?config ?params (p : Place.Placement.t) =
-  let params =
-    match params with Some ps -> ps | None -> Vm1.Params.default p.tech
-  in
-  let init, clock_ps = evaluate ?router_config params p in
+let optimise ?router_config ?config (params : Vm1.Params.t) (b : baseline)
+    (p : Place.Placement.t) =
   let report = Vm1.Vm1_opt.run ?config params p in
-  let final, _ = evaluate ~clock_ps ?router_config params p in
+  let final, _ = evaluate ~clock_ps:b.clock_ps ?router_config params p in
   {
     design_name = p.design.Netlist.Design.name;
     instances = Place.Placement.num_instances p;
     alpha = params.Vm1.Params.alpha;
-    init;
+    init = b.init;
     final;
     opt_runtime_s = report.Vm1.Vm1_opt.runtime_s;
   }
+
+let run_comparison ?router_config ?config ?params (p : Place.Placement.t) =
+  let params =
+    match params with Some ps -> ps | None -> Vm1.Params.default p.tech
+  in
+  let b, _ = baseline ?router_config params p in
+  optimise ?router_config ?config params b p
 
 let delta_pct a b = if abs_float a < 1e-12 then 0.0 else (b -. a) /. a *. 100.0
 
@@ -85,15 +104,14 @@ let timing_driven_params ?(boost = 3.0) (params : Vm1.Params.t)
   let weights = Array.map (fun c -> 1.0 +. (boost *. c *. c)) crit in
   { params with Vm1.Params.net_weights = Some weights }
 
-(* Congestion-aware extension (future work (ii), second criterion): route
-   once, build the tile congestion map, and tax candidates in hot tiles
-   so the optimiser prefers alignments that do not pull cells into
-   congested regions. *)
-let congestion_cost ?(weight = 2000.0) ?(threshold = 0.6) ?router_config
-    (p : Place.Placement.t) =
-  let r = Route.Router.route ?config:router_config p in
+(* Congestion-aware extension (future work (ii), second criterion): build
+   the tile congestion map of a route the caller already made, and tax
+   candidates in hot tiles so the optimiser prefers alignments that do
+   not pull cells into congested regions. *)
+let congestion_cost ?(weight = 2000.0) ?(threshold = 0.6)
+    (r : Route.Router.result) =
   let map = Route.Congestion.of_result r in
-  let tech = p.Place.Placement.tech in
+  let tech = r.grid.Route.Grid.placement.Place.Placement.tech in
   fun ~site ~row ->
     let x = (site * tech.Pdk.Tech.site_width) + (tech.Pdk.Tech.site_width / 2) in
     let y = (row * tech.Pdk.Tech.row_height) + (tech.Pdk.Tech.row_height / 2) in

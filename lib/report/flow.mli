@@ -40,6 +40,21 @@ val evaluate :
   ?clock_ps:float -> ?router_config:Route.Router.config ->
   Vm1.Params.t -> Place.Placement.t -> eval * float
 
+(** The initial placement's evaluation: Table 2's [init] columns and
+    the clock period the optimised placement is timed against. *)
+type baseline = {
+  init : eval;
+  clock_ps : float;
+}
+
+(** [baseline ?router_config params p] is [evaluate ?router_config params
+    p] as a {!baseline}, together with the route it measured — so a
+    caller that needs the initial route ({!congestion_cost}) does not
+    route [p] a second time. *)
+val baseline :
+  ?router_config:Route.Router.config -> Vm1.Params.t -> Place.Placement.t ->
+  baseline * Route.Router.result
+
 type comparison = {
   design_name : string;
   instances : int;
@@ -49,11 +64,17 @@ type comparison = {
   opt_runtime_s : float;
 }
 
+(** [optimise ?router_config ?config params b p] is the second half of
+    the Table-2 experiment: run VM1Opt on [p] in place, re-route and
+    evaluate it against [b]'s clock. [b] must be [p]'s {!baseline}. *)
+val optimise :
+  ?router_config:Route.Router.config -> ?config:Vm1.Vm1_opt.config ->
+  Vm1.Params.t -> baseline -> Place.Placement.t -> comparison
+
 (** [run_comparison ?router_config ?config ?params p] is the Table-2
-    experiment on a prepared placement: evaluate the initial routed
-    placement, run VM1Opt on [p] in place, re-route and evaluate again
-    against the initial clock. [router_config] applies to both routes;
-    [params] defaults to {!Vm1.Params.default} for [p]'s technology. *)
+    experiment on a prepared placement: {!baseline}, then {!optimise}.
+    [router_config] applies to both routes; [params] defaults to
+    {!Vm1.Params.default} for [p]'s technology. *)
 val run_comparison :
   ?router_config:Route.Router.config -> ?config:Vm1.Vm1_opt.config ->
   ?params:Vm1.Params.t -> Place.Placement.t -> comparison
@@ -68,11 +89,12 @@ val delta_pct : float -> float -> float
 val timing_driven_params :
   ?boost:float -> Vm1.Params.t -> Place.Placement.t -> Vm1.Params.t
 
-(** [congestion_cost ?weight ?threshold ?router_config p] routes the
-    placement, builds the tile congestion map and returns the
-    per-candidate penalty function for [Vm1.Vm1_opt.config.candidate_cost]
-    — the congestion-aware objective extension. Tiles above [threshold]
-    usage/capacity are taxed proportionally. *)
+(** [congestion_cost ?weight ?threshold r] builds the tile congestion
+    map of the route [r] (typically the one {!baseline} returns) and
+    returns the per-candidate penalty function for
+    [Vm1.Vm1_opt.config.candidate_cost] — the congestion-aware objective
+    extension. Tiles above [threshold] usage/capacity are taxed
+    proportionally. *)
 val congestion_cost :
-  ?weight:float -> ?threshold:float -> ?router_config:Route.Router.config ->
-  Place.Placement.t -> site:int -> row:int -> float
+  ?weight:float -> ?threshold:float -> Route.Router.result ->
+  site:int -> row:int -> float

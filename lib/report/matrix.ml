@@ -117,20 +117,20 @@ let run_pipeline q p =
       use_dm1 = q.use_dm1;
     }
   in
+  let params =
+    { (Vm1.Params.default p.Place.Placement.tech) with Vm1.Params.alpha = q.alpha }
+  in
+  let base, route = Flow.baseline ~router_config params p in
   let config =
     {
       Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.parallel = false;
       sequence = q.sequence;
       candidate_cost =
-        (if q.congestion_term then Some (Flow.congestion_cost ~router_config p)
-         else None);
+        (if q.congestion_term then Some (Flow.congestion_cost route) else None);
     }
   in
-  let params =
-    { (Vm1.Params.default p.Place.Placement.tech) with Vm1.Params.alpha = q.alpha }
-  in
-  Flow.run_comparison ~router_config ~config ~params p
+  Flow.optimise ~router_config ~config params base p
 
 (* the cell's id and its reported params: none when the manifest has no
    params axis *)

@@ -5,11 +5,14 @@
     arch/utilisation/scale combination of its axes; external DEF entries
     contribute one cell each (their placement — and so their axes — are
     fixed by the file). Both are crossed with the manifest's [params]
-    sets, when it has any. Every cell runs {!Flow.run_comparison}, as
-    [vm1opt] does: evaluate the initial routed placement, run VM1Opt
-    with the greedy window solver, re-route, evaluate again — with the
-    cell's alpha, optimisation sequence, router layer count and
-    switches (dM1 routing, row DP, congestion term).
+    sets, when it has any. Every cell runs the Table-2 flow, as
+    [vm1opt] does: {!Flow.baseline} evaluates the initial routed
+    placement, then {!Flow.optimise} runs VM1Opt with the greedy window
+    solver, re-routes and evaluates again — with the cell's alpha,
+    optimisation sequence, router layer count and switches (dM1
+    routing, row DP, congestion term). A congestion-term cell builds its
+    congestion map from the baseline's route, so it routes twice, not
+    three times.
 
     Cells are distributed over the exec pool ({!Exec.parallel_map}),
     with the in-cell optimiser forced sequential so the cell grid is the

@@ -16,7 +16,7 @@ type t = {
   wire_users : int list array;
   via_users : int list array;
   net_over : int array;
-  overflow_edges : int Atomic.t;
+  mutable overflow_edges : int;
 }
 
 let free = -1
@@ -329,7 +329,7 @@ let make_bare ~layers (p : Place.Placement.t) =
     wire_users = Array.make size [];
     via_users = Array.make size [];
     net_over = Array.make (max 1 (Netlist.Design.num_nets design)) 0;
-    overflow_edges = Atomic.make 0;
+    overflow_edges = 0;
   }
 
 let install_blockage g ~pdn_stripes =
@@ -387,10 +387,7 @@ let of_placement ?(layers = num_layers) ?(pdn_stripes = true) ?skeleton
 (* Usage transitions keep three views in sync: per-edge user lists (who
    occupies the edge), per-net counts of occurrences on overflowed edges
    (so "does this net cross congestion" is O(1) during rip-up), and the
-   atomic total of overflowed edges (so [overflow_count] never scans).
-   The atomic makes the total safe under the region-sharded initial
-   routing pass, where concurrent tiles commit to disjoint nodes and
-   disjoint nets but share this one cell. *)
+   total of overflowed edges (so [overflow_count] never scans). *)
 
 let remove_one net l =
   let rec go acc = function
@@ -400,57 +397,53 @@ let remove_one net l =
   go [] l
 
 let commit_wire g ~net n =
-  Obs.Scopemon.record n;
   let u = g.wire_usage.(n) + 1 in
   g.wire_usage.(n) <- u;
   let others = g.wire_users.(n) in
   g.wire_users.(n) <- net :: others;
   if u = 2 then begin
-    Atomic.incr g.overflow_edges;
+    g.overflow_edges <- g.overflow_edges + 1;
     g.net_over.(net) <- g.net_over.(net) + 1;
     List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) + 1) others
   end
   else if u > 2 then g.net_over.(net) <- g.net_over.(net) + 1
 
 let uncommit_wire g ~net n =
-  Obs.Scopemon.record n;
   let u = g.wire_usage.(n) in
   g.wire_usage.(n) <- u - 1;
   g.wire_users.(n) <- remove_one net g.wire_users.(n);
   if u = 2 then begin
-    Atomic.decr g.overflow_edges;
+    g.overflow_edges <- g.overflow_edges - 1;
     g.net_over.(net) <- g.net_over.(net) - 1;
     List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) - 1) g.wire_users.(n)
   end
   else if u > 2 then g.net_over.(net) <- g.net_over.(net) - 1
 
 let commit_via g ~net n =
-  Obs.Scopemon.record n;
   let u = g.via_usage.(n) + 1 in
   g.via_usage.(n) <- u;
   let others = g.via_users.(n) in
   g.via_users.(n) <- net :: others;
   if u = 2 then begin
-    Atomic.incr g.overflow_edges;
+    g.overflow_edges <- g.overflow_edges + 1;
     g.net_over.(net) <- g.net_over.(net) + 1;
     List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) + 1) others
   end
   else if u > 2 then g.net_over.(net) <- g.net_over.(net) + 1
 
 let uncommit_via g ~net n =
-  Obs.Scopemon.record n;
   let u = g.via_usage.(n) in
   g.via_usage.(n) <- u - 1;
   g.via_users.(n) <- remove_one net g.via_users.(n);
   if u = 2 then begin
-    Atomic.decr g.overflow_edges;
+    g.overflow_edges <- g.overflow_edges - 1;
     g.net_over.(net) <- g.net_over.(net) - 1;
     List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) - 1) g.via_users.(n)
   end
   else if u > 2 then g.net_over.(net) <- g.net_over.(net) - 1
 
 let net_overflow g net = g.net_over.(net)
-let overflow_count g = Atomic.get g.overflow_edges
+let overflow_count g = g.overflow_edges
 
 (* Reference implementation of [overflow_count], scanning every edge;
    kept as the oracle the ledger is tested against. *)
@@ -469,4 +462,4 @@ let clear_usage g =
   Array.fill g.wire_users 0 (Array.length g.wire_users) [];
   Array.fill g.via_users 0 (Array.length g.via_users) [];
   Array.fill g.net_over 0 (Array.length g.net_over) 0;
-  Atomic.set g.overflow_edges 0
+  g.overflow_edges <- 0

@@ -37,9 +37,8 @@ type t = {
   via_users : int list array;  (** same for via edges *)
   net_over : int array;
       (** per net: committed occurrences on overflowed edges (ledger) *)
-  overflow_edges : int Atomic.t;
-      (** total edges with usage > 1 (ledger; atomic because concurrent
-          tiles of the sharded initial pass share it) *)
+  mutable overflow_edges : int;
+      (** total edges with usage > 1 (ledger) *)
 }
 
 (** wire_owner value: unreserved. *)

@@ -27,9 +27,7 @@ let default_config =
     grid_skeleton = None;
   }
 
-(* Metric handles created once: the initial pass bumps these from
-   worker domains, where a per-call registry lookup would contend on
-   the registry lock. *)
+(* Metric handles created once, not looked up in the registry per call. *)
 let c_subnets = Obs.counter "route.subnets"
 let c_subnet_attempts = Obs.counter "route.subnet_attempts"
 let c_ripup_nets = Obs.counter "route.ripup_nets"
@@ -42,9 +40,7 @@ let g_overflow = Obs.gauge "route.overflow_edges"
 
 (* Allocation-pressure gauge over the whole route span, normalized per
    subnet — the runtime complement to the structural hot-alloc lint on
-   the A* loop. Coordinator-domain minor words only; the sharded pass's
-   worker allocations are not counted (the hot path they run is the
-   same code the coordinator's sequential phase measures). *)
+   the A* loop. *)
 let g_minor_words = Obs.gauge "route.minor_words_per_subnet"
 
 type edge =
@@ -181,9 +177,9 @@ let via_cost ctx n =
    nodes) to the target pin's access nodes, within a window around the
    subnet bounding box. Targets were stamped with [tgen = tg] by the
    caller. [clamp] (ilo, ihi, jlo, jhi) intersects every escalation
-   window with a fixed rectangle; the sharded initial pass uses it to
+   window with a fixed rectangle; the tiled initial pass uses it to
    confine each tile's searches — reads and writes included — to that
-   tile, which is what makes concurrent tiles independent.
+   tile.
 
     Sources are seeded through the same generation stamp that relaxation
     uses, so the open list is seeded without duplicate nodes even when
@@ -542,10 +538,10 @@ let route ?(config = default_config) (p : Place.Placement.t) =
         ignore (route_subnet ctx ~net:nr.net_id sn))
       nr.subnets
   in
-  (* Tile-confined attempt for the sharded pass: on the first subnet that
+  (* Tile-confined attempt for the initial pass: on the first subnet that
      cannot be routed inside the tile, roll the whole net back and report
-     it deferred, so the sequential phase retries it with full window
-     escalation against the final phase-1 grid state. *)
+     it deferred, so the second phase retries it with full window
+     escalation against the grid state the tiles left. *)
   let route_net_clamped ~clamp ctx (nr : net_route) =
     Stampset.clear ctx.tree;
     let ok = ref true in
@@ -567,17 +563,16 @@ let route ?(config = default_config) (p : Place.Placement.t) =
         nr.subnets;
     !ok
   in
-  (* --- region-sharded initial pass ---------------------------------
-     The routing grid is cut into fixed [shard_tracks]-sized tiles (the
-     tiling depends only on the grid, never on [Exec.jobs], so results
-     are byte-identical across pool sizes). A net is tile-local when
-     every access node of every pin, padded by the first search margin,
-     lands in one tile; tile-local nets route concurrently with searches
-     clamped to their tile, so concurrent tasks touch disjoint usage
-     cells. Everything else — nets spanning tiles, plus any net that
-     failed inside its tile — is routed sequentially afterwards, in the
-     original short-nets-first order, with the ordinary unclamped
-     escalation. Rip-up stays fully sequential. *)
+  (* --- tiled initial pass --------------------------------------------
+     The routing grid is cut into fixed [shard_tracks]-sized tiles. A net
+     is tile-local when every access node of every pin, padded by the
+     first search margin, lands in one tile; tile-local nets route first,
+     tile by tile, with searches clamped to their tile. Everything else —
+     nets spanning tiles, plus any net that failed inside its tile — is
+     routed afterwards, in the original short-nets-first order, with the
+     ordinary unclamped escalation. The tiling decides which routes are
+     found, so it stays even though every net routes on the calling
+     domain. *)
   let t = max 8 config.shard_tracks in
   let tiles_x = (g.Grid.nx + t - 1) / t in
   let tiles_y = (g.Grid.ny + t - 1) / t in
@@ -622,78 +617,31 @@ let route ?(config = default_config) (p : Place.Placement.t) =
     Array.of_list !acc
   in
   let n_local = Array.fold_left (fun a (_, ns) -> a + Array.length ns) 0 tile_jobs in
-  let ctx, pushes0 =
-    Obs.with_span "route.initial"
-      ~attrs:[ ("tiles", `Int (Array.length tile_jobs)); ("local_nets", `Int n_local) ]
-      (fun () ->
-      (* Tiles are grouped into contiguous runs so each pool task
-         allocates one search context, not one per tile, and the
-         sequential and rip-up phases below reuse a finished group's
-         context: a route builds one context per group, so exactly one
-         at [--jobs 1]. The grouping only affects scheduling: contexts
-         are generation-stamped, so reusing one across tiles or phases
-         cannot change any search result. *)
-      let deferred, ctx =
-        if Array.length tile_jobs = 0 then ([], make_ctx g config)
-        else begin
-          let njobs = Array.length tile_jobs in
-          let jobs = Exec.jobs () in
-          let ngroups = min njobs (if jobs = 1 then 1 else jobs * 4) in
-          let groups =
-            Array.init ngroups (fun gi ->
-                let lo = gi * njobs / ngroups and hi = (gi + 1) * njobs / ngroups in
-                Array.sub tile_jobs lo (hi - lo))
-          in
-          let per_group =
-            Exec.parallel_map ~chunk:1
-              (fun tiles ->
-                let tctx = make_ctx g config in
-                let dropped = ref [] in
-                Array.iter
-                  (fun (ti, nets) ->
-                    let tx = ti mod tiles_x and ty = ti / tiles_x in
-                    let clamp =
-                      ( tx * t,
-                        min (g.Grid.nx - 1) (((tx + 1) * t) - 1),
-                        ty * t,
-                        min (g.Grid.ny - 1) (((ty + 1) * t) - 1) )
-                    in
-                    (* declare this worker's legal write region to the
-                       scope monitor: every usage-cell write during a
-                       clamped search must decode to a track inside the
-                       tile (checked only while the monitor is armed) *)
-                    let ci0, ci1, cj0, cj1 = clamp in
-                    Obs.Scopemon.set_scope
-                      ~label:(Printf.sprintf "tile(%d,%d)" tx ty)
-                      (Some
-                         (fun n ->
-                           let i = Grid.i_of_node g n
-                           and j = Grid.j_of_node g n in
-                           ci0 <= i && i <= ci1 && cj0 <= j && j <= cj1));
-                    Array.iter
-                      (fun k ->
-                        if not (route_net_clamped ~clamp tctx routes.(k)) then
-                          dropped := k :: !dropped)
-                      nets)
-                  tiles;
-                Obs.Scopemon.clear_scope ();
-                Obs.Counter.add c_bq_pushes (Bqueue.pushes tctx.bq);
-                (List.rev !dropped, tctx))
-              groups
-          in
-          ( List.concat_map fst (Array.to_list per_group),
-            snd per_group.(0) )
-        end
-      in
-      let seq = List.sort Int.compare (List.rev_append !seq_nets deferred) in
-      Obs.Counter.add c_shard_nets (n_local - List.length deferred);
-      Obs.Counter.add c_deferred_nets (List.length seq);
-      Obs.add_attr "sequential_nets" (`Int (List.length seq));
-      (* the reused context's pushes so far were counted by its group *)
-      let pushes0 = Bqueue.pushes ctx.bq in
-      List.iter (fun k -> route_net_full ctx routes.(k)) seq;
-      (ctx, pushes0))
-  in
+  let ctx = make_ctx g config in
+  Obs.with_span "route.initial"
+    ~attrs:[ ("tiles", `Int (Array.length tile_jobs)); ("local_nets", `Int n_local) ]
+    (fun () ->
+    let deferred = ref [] in
+    Array.iter
+      (fun (ti, nets) ->
+        let tx = ti mod tiles_x and ty = ti / tiles_x in
+        let clamp =
+          ( tx * t,
+            min (g.Grid.nx - 1) (((tx + 1) * t) - 1),
+            ty * t,
+            min (g.Grid.ny - 1) (((ty + 1) * t) - 1) )
+        in
+        Array.iter
+          (fun k ->
+            if not (route_net_clamped ~clamp ctx routes.(k)) then
+              deferred := k :: !deferred)
+          nets)
+      tile_jobs;
+    let seq = List.sort Int.compare (List.rev_append !seq_nets !deferred) in
+    Obs.Counter.add c_shard_nets (n_local - List.length !deferred);
+    Obs.Counter.add c_deferred_nets (List.length seq);
+    Obs.add_attr "sequential_nets" (`Int (List.length seq));
+    List.iter (fun k -> route_net_full ctx routes.(k)) seq);
   (* Rip-up and reroute nets crossing overflowed edges, with the
      congestion penalty escalating each pass. The overflow ledger makes
      the congestion test per net O(1) ([Grid.net_overflow]), so a pass
@@ -739,7 +687,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
       0 routes
   in
   Obs.Counter.add c_failed_subnets failed_final;
-  Obs.Counter.add c_bq_pushes (Bqueue.pushes ctx.bq - pushes0);
+  Obs.Counter.add c_bq_pushes (Bqueue.pushes ctx.bq);
   let overflow = Grid.overflow_count g in
   Obs.Gauge.set g_overflow (float_of_int overflow);
   if Obs.enabled () && total_subnets > 0 then
@@ -749,7 +697,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
   Obs.add_attr "failed_subnets" (`Int failed_final);
   (* Attribution payload for [vm1trace attribute]: a per-tile map of
      overflowed edges (the congestion heatmap, on the same fixed tiling
-     as the sharded pass) plus the ids of congested and failed nets —
+     as the initial pass) plus the ids of congested and failed nets —
      the trace-side join keys for per-net QoR. Only computed while
      instrumentation is on; one O(nodes) sweep, far below routing cost. *)
   if Obs.enabled () then begin

@@ -31,11 +31,9 @@ type config = {
                                way to join aligned pins *)
   layers : int;            (** metal layers available to the router, 2..6 *)
   pdn_stripes : bool;      (** install power-distribution blockage *)
-  shard_tracks : int;      (** tile side, in tracks, for the sharded
+  shard_tracks : int;      (** tile side, in tracks, for the tiled
                                initial pass (clamped to >= 8). The tiling
-                               is a fixed function of the grid — never of
-                               [Exec.jobs] — so routing results are
-                               byte-identical across pool sizes *)
+                               is a fixed function of the grid *)
   grid_skeleton : Grid.skeleton option;
       (** cached rail/PDN blockage to seed {!Grid.of_placement} with
           (see {!Grid.skeleton}); [None] recomputes it. Purely a
@@ -80,15 +78,14 @@ type result = {
 
 (** [route ?config placement] routes all signal nets of the placement.
 
-    The initial pass is region-sharded: the grid is cut into fixed
+    The initial pass is tiled: the grid is cut into fixed
     [shard_tracks]-sized tiles, nets whose pin-access bounding box plus
-    the first search margin fits inside one tile are routed concurrently
-    on the shared [Exec] pool with searches clamped to their tile, and
-    the remainder (tile-spanning nets plus any in-tile failure, rolled
-    back first) is routed sequentially afterwards in the original order
-    with full window escalation. Concurrent tiles touch disjoint usage
-    cells and the tiling ignores [Exec.jobs], so results are
-    byte-identical across [--jobs]. Rip-up passes stay sequential.
+    the first search margin fits inside one tile are routed first, tile
+    by tile, with searches clamped to their tile, and the remainder
+    (tile-spanning nets plus any in-tile failure, rolled back first) is
+    routed afterwards in the original order with full window
+    escalation. Every net routes on the calling domain, so results do
+    not depend on [--jobs].
 
     Hot-path machinery: pin access nodes come from the index
     precomputed at [Grid.of_placement] time, the A* open list is the
@@ -105,12 +102,10 @@ type result = {
     queued is skipped, which is exact because ties pop FIFO — every
     route is byte-identical to the unpruned search.
 
-    Search contexts (the per-node records plus the open list, about
-    [40 * Grid.node_count] bytes) are built one per tile group of the
-    initial pass, and the sequential and rip-up phases reuse a finished
-    group's: one context per route at [--jobs 1]. None outlives the
-    call, so a long-running caller holds no grid-sized scratch between
-    routes.
+    One search context (the per-node records plus the open list, about
+    [40 * Grid.node_count] bytes) serves every phase of a route. It does
+    not outlive the call, so a long-running caller holds no grid-sized
+    scratch between routes.
 
     Emits observability when [Obs.enabled]: a [route] span with nested
     [route.initial] and per-pass [route.ripup] spans, the

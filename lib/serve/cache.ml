@@ -2,8 +2,7 @@ type outcome = Hit | Miss
 
 type master = {
   placement : Place.Placement.t;
-  init : Report.Flow.eval;
-  clock_ps : float;
+  baseline : Report.Flow.baseline;
 }
 
 (* One store per artifact type: a Hashtbl used strictly as a key-value
@@ -73,14 +72,17 @@ let netlist t ~lib ~name ~arch ~scale =
    which no job overrides, so the default parameters give every job's
    [init]. The route is built without the grid skeleton: the skeleton
    only replaces a blockage install with a copy of the same bytes, and
-   resolving it here would add a second grid lookup to a cold job. *)
+   resolving it here would add a second grid lookup to a cold job. The
+   route itself is dropped: a master outlives every job on its
+   placement, and a grid per cached placement would dominate the
+   daemon's memory. *)
 let master_of placement =
-  let init, clock_ps =
-    Report.Flow.evaluate
+  let baseline, _route =
+    Report.Flow.baseline
       (Vm1.Params.default placement.Place.Placement.tech)
       placement
   in
-  { placement; init; clock_ps }
+  { placement; baseline }
 
 let placement t ~design ~name ~arch ~scale ~utilization =
   let key =

@@ -46,11 +46,11 @@ exception Rejected of string
 (** A cached input placement with its baseline evaluation. *)
 type master = {
   placement : Place.Placement.t;  (** shared: copy before mutating *)
-  init : Report.Flow.eval;
-  (** [Report.Flow.evaluate] of [placement] under
+  baseline : Report.Flow.baseline;
+  (** [Report.Flow.baseline] of [placement] under
       [Vm1.Params.default]: the routed, timed baseline every job on
-      this placement reports as [init] *)
-  clock_ps : float;  (** the clock period that evaluation derived *)
+      this placement reports as [init], and the clock it is timed
+      against. The baseline's route is not kept. *)
 }
 
 val create : unit -> t

@@ -12,12 +12,6 @@ type prepared = {
 
 let hit = function Cache.Hit -> true | Cache.Miss -> false
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let prepare cache (job : Protocol.job) =
   let t0 = Obs.now_ns () in
   let bad_request message =
@@ -56,7 +50,7 @@ let prepare cache (job : Protocol.job) =
           match src with
           | Protocol.Inline text -> Ok text
           | Protocol.Path path -> (
-            match read_whole_file path with
+            match Io.Lex.read_whole_file path with
             | text -> Ok text
             | exception Sys_error msg ->
               bad_request (Printf.sprintf "cannot read \"def_path\": %s" msg))
@@ -148,10 +142,9 @@ let run_flow (job : Protocol.job) (a : artifacts) =
   in
   (* the baseline came with the master (see Cache): only the optimised
      placement is routed here *)
-  let (_ : Vm1.Vm1_opt.report) = Vm1.Vm1_opt.run ~config params q in
-  let final, _ =
-    Report.Flow.evaluate ~clock_ps:a.master.Cache.clock_ps ~router_config
-      params q
+  let c =
+    Report.Flow.optimise ~router_config ~config params
+      a.master.Cache.baseline q
   in
   let r_scale, r_util =
     match job.source with
@@ -168,8 +161,8 @@ let run_flow (job : Protocol.job) (a : artifacts) =
     r_alpha = params.Vm1.Params.alpha;
     r_sequence = job.sequence;
     instances = Place.Placement.num_instances q;
-    init = a.master.Cache.init;
-    final;
+    init = c.Report.Flow.init;
+    final = c.final;
     digest = placement_digest q;
   }
 

@@ -1,7 +1,7 @@
 (** Wall-clock critical path through the span forest.
 
     The path explains the elapsed time of the run, not the sum of work:
-    when DistOpt windows or router shards run on several [lib/exec]
+    when DistOpt windows or matrix cells run on several [lib/exec]
     domains at once, their spans overlap in time and only the chain that
     actually bounded the finish line appears. The walk goes backward from
     the latest span end: at each level it picks the span still running at

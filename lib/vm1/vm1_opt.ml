@@ -1,5 +1,4 @@
 type wcache_policy =
-  | No_wcache
   | Fresh_wcache
   | Shared_wcache of Wcache.t
 
@@ -45,7 +44,6 @@ let run ?(config = default_config) (params : Params.t)
      windows recur with identical content and replay instead of re-solve *)
   let wcache =
     match config.wcache with
-    | No_wcache -> None
     | Fresh_wcache -> Some (Wcache.create ())
     | Shared_wcache c -> Some c
   in

@@ -11,10 +11,9 @@
     outer iterations re-encounter converged windows and replay them.
     [Shared_wcache] reuses a caller-owned cache across runs (the daemon
     keeps one per worker domain, warming across jobs); the caller owns
-    domain confinement. [No_wcache] disables memoisation. Results are
-    byte-identical under every policy (the hit ≡ miss invariant). *)
+    domain confinement. Results are byte-identical under either policy
+    (the hit ≡ miss invariant). *)
 type wcache_policy =
-  | No_wcache
   | Fresh_wcache
   | Shared_wcache of Wcache.t
 

@@ -1,12 +1,10 @@
 (* Flow-sanitizer tests: every lib/check oracle passes on a freshly
    prepared flow and rejects a seeded corruption — overlapping and
    off-grid placements, a dangling net pin, a tampered routing result, an
-   infeasible MILP assignment, a corrupted DEF dump, and a deliberately
-   out-of-tile grid write that the shard-write monitor must capture. *)
+   infeasible MILP assignment and a corrupted DEF dump. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_string = Alcotest.(check string)
 
 let prepare arch = Report.Flow.prepare ~scale:32 Netlist.Designs.M0 arch
 
@@ -30,7 +28,7 @@ let params_of (p : Place.Placement.t) = Vm1.Params.default p.tech
 
 let test_flow_passes (arch, p) () =
   let findings = Check.flow (params_of p) p in
-  check_int "seven oracles ran" 7 (List.length findings);
+  check_int "six oracles ran" 6 (List.length findings);
   List.iter
     (fun (f : Check.finding) ->
       check_bool
@@ -101,7 +99,7 @@ let test_dangling_pin_rejected () =
 (* --- the sanitizer stays clean after a portfolio + window-cache flow:
    the portfolio solver and the memo-cache replay path both feed the same
    oracles (placement legality, window independence, objective recount,
-   shard monitor, MILP re-verification) as the plain greedy flow --- *)
+   route, MILP re-verification) as the plain greedy flow --- *)
 
 let test_portfolio_cache_flow_clean () =
   let p = Place.Placement.copy (closedm1 ()) in
@@ -113,7 +111,7 @@ let test_portfolio_cache_flow_clean () =
   in
   ignore (Vm1.Vm1_opt.run ~config params p);
   let findings = Check.flow params p in
-  check_int "seven oracles ran" 7 (List.length findings);
+  check_int "six oracles ran" 6 (List.length findings);
   List.iter
     (fun (f : Check.finding) ->
       check_bool
@@ -160,49 +158,6 @@ let test_route_tamper () =
   r.failed_subnets <- r.failed_subnets + 1;
   check_bool "failed-subnet miscount caught" true (Check.route_result r <> []);
   r.failed_subnets <- r.failed_subnets - 1
-
-(* --- shard-write monitor --- *)
-
-let test_out_of_tile_write_caught () =
-  let p = closedm1 () in
-  let g = Route.Grid.of_placement p in
-  let n = find_free_wire_edge g in
-  Obs.Scopemon.arm ();
-  Obs.Scopemon.set_scope ~label:"tile(0,0)" (Some (fun _ -> false));
-  Route.Grid.commit_wire g ~net:0 n;
-  Obs.Scopemon.clear_scope ();
-  Obs.Scopemon.disarm ();
-  (match Obs.Scopemon.violations () with
-  | [ v ] ->
-    check_string "offending scope label" "tile(0,0)" v.Obs.Scopemon.label;
-    check_int "offending write" n v.Obs.Scopemon.value
-  | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
-  check_bool "Check.shard_violations reports it" true
-    (Check.shard_violations () <> [])
-
-let test_in_scope_write_silent () =
-  let p = closedm1 () in
-  let g = Route.Grid.of_placement p in
-  let n = find_free_wire_edge g in
-  Obs.Scopemon.arm ();
-  Obs.Scopemon.set_scope ~label:"tile(0,0)" (Some (fun _ -> true));
-  Route.Grid.commit_wire g ~net:0 n;
-  Route.Grid.uncommit_wire g ~net:0 n;
-  Obs.Scopemon.clear_scope ();
-  Obs.Scopemon.disarm ();
-  check_int "no violations" 0 (List.length (Obs.Scopemon.violations ()))
-
-let test_disarmed_is_noop () =
-  let p = closedm1 () in
-  let g = Route.Grid.of_placement p in
-  let n = find_free_wire_edge g in
-  Obs.Scopemon.arm ();
-  Obs.Scopemon.disarm ();
-  Obs.Scopemon.set_scope ~label:"tile(0,0)" (Some (fun _ -> false));
-  Route.Grid.commit_wire g ~net:0 n;
-  Obs.Scopemon.clear_scope ();
-  check_int "disarmed monitor records nothing" 0
-    (List.length (Obs.Scopemon.violations ()))
 
 (* --- MILP assignment re-verification --- *)
 
@@ -258,15 +213,6 @@ let () =
       ( "negative-route",
         [ Alcotest.test_case "tampered result caught" `Quick
             test_route_tamper ] );
-      ( "shard-monitor",
-        [
-          Alcotest.test_case "out-of-tile write caught" `Quick
-            test_out_of_tile_write_caught;
-          Alcotest.test_case "in-scope write silent" `Quick
-            test_in_scope_write_silent;
-          Alcotest.test_case "disarmed is a no-op" `Quick
-            test_disarmed_is_noop;
-        ] );
       ( "milp",
         [ Alcotest.test_case "assignment re-verified" `Quick
             test_model_check ] );

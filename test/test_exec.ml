@@ -71,7 +71,7 @@ let test_distopt_identity () =
 
 let test_route_identity () =
   let p = Lazy.force fixture in
-  (* small tiles force a multi-tile sharded pass even on this small die *)
+  (* small tiles force a multi-tile initial pass even on this small die *)
   let config = { Route.Router.default_config with shard_tracks = 16 } in
   let digest (r : Route.Router.result) =
     Digest.to_hex

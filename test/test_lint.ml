@@ -108,11 +108,9 @@ let test_domain_in_exec () =
   Alcotest.(check (list string)) "lib/exec may use Domain" []
     (active_rules ~path:"lib/exec/pool.ml" "let d = Domain.spawn (fun () -> 1)")
 
-let test_atomic_vetted () =
-  Alcotest.(check (list string)) "grid.ml Atomic is vetted, not active" []
-    (active_rules ~path:"lib/route/grid.ml" "let a = Atomic.make 0");
-  Alcotest.(check (list string)) "but reported as vetted" [ "domain-prims" ]
-    (rules_of ~path:"lib/route/grid.ml" Lint.Vetted "let a = Atomic.make 0")
+let test_atomic_in_grid () =
+  Alcotest.(check (list string)) "grid.ml Atomic is active" [ "domain-prims" ]
+    (active_rules ~path:"lib/route/grid.ml" "let a = Atomic.make 0")
 
 (* --- global-random --- *)
 
@@ -549,7 +547,7 @@ let () =
           Alcotest.test_case "Mutex fires" `Quick test_mutex_outside;
           Alcotest.test_case "Atomic fires" `Quick test_atomic_outside;
           Alcotest.test_case "lib/exec exempt" `Quick test_domain_in_exec;
-          Alcotest.test_case "grid.ml Atomic vetted" `Quick test_atomic_vetted;
+          Alcotest.test_case "grid.ml Atomic active" `Quick test_atomic_in_grid;
         ] );
       ( "global-random",
         [

@@ -100,7 +100,10 @@ let test_congestion_map () =
 
 let test_congestion_cost_plumbing () =
   let p = Report.Flow.prepare ~scale:32 Netlist.Designs.M0 Pdk.Cell_arch.Closed_m1 in
-  let cost = Report.Flow.congestion_cost ~weight:10.0 ~threshold:0.0 p in
+  let cost =
+    Report.Flow.congestion_cost ~weight:10.0 ~threshold:0.0
+      (Route.Router.route p)
+  in
   (* threshold 0 taxes every used tile, so some candidate cost is positive *)
   let found = ref false in
   for site = 0 to p.Place.Placement.sites_per_row - 1 do

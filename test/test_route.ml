@@ -543,15 +543,12 @@ let test_overflow_ledger () =
         (Route.Grid.net_overflow g nr.Route.Router.net_id > 0))
     r.Route.Router.routes
 
-(* [route.bq_pushes] counts each route's pushes once: the sequential and
-   rip-up phases reuse a tile group's search context, so they must add
-   only the pushes made after the group reported its own. Two
-   back-to-back routes add identical increments (no context or count
-   carries over between routes), and the increment does not depend on
-   how many groups the tiles were split into ([--jobs] 1 builds one,
-   4 builds up to sixteen), which a double-counted reused context
-   would break. A small search margin and tile let several tiles route
-   nets in the sharded pass, so there are groups to split. *)
+(* [route.bq_pushes] counts each route's pushes once: two back-to-back
+   routes add identical increments (no context or count carries over
+   between routes), and the increment does not depend on [--jobs]. The
+   router runs on the calling domain, so a route at [--jobs 4] starts no
+   pool task. A small search margin and tile let several tiles route
+   nets in the tiled initial pass. *)
 let test_bq_pushes_per_route () =
   let p = placed_design ~n:400 ~utilization:0.85 closed_lib in
   let config =
@@ -564,6 +561,7 @@ let test_bq_pushes_per_route () =
   in
   let pushes = Obs.counter "route.bq_pushes" in
   let shard_nets = Obs.counter "route.shard_nets" in
+  let tasks = Obs.counter "exec.tasks" in
   let was = Obs.enabled () and jobs = Exec.jobs () in
   Fun.protect
     ~finally:(fun () ->
@@ -582,10 +580,12 @@ let test_bq_pushes_per_route () =
       checkb "several nets routed in tiles" true
         (Obs.Counter.value shard_nets - s0 >= 10);
       let b = increment 1 in
+      let t0 = Obs.Counter.value tasks in
       let c = increment 4 in
       checkb "pushes counted" true (a > 0);
       check "back-to-back routes add the same" a b;
-      check "same at --jobs 4" a c)
+      check "same at --jobs 4" a c;
+      check "no pool task at --jobs 4" 0 (Obs.Counter.value tasks - t0))
 
 (* --- Route bytes golden ---
 
