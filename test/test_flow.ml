@@ -95,6 +95,33 @@ let test_comparison_determinism () =
   check "same final dm1" b.Report.Flow.final.Report.Flow.dm1
     a.Report.Flow.final.Report.Flow.dm1
 
+(* [baseline] is [evaluate] plus the route it measured, and
+   [run_comparison] is [baseline] then [optimise] *)
+let small () =
+  Report.Flow.prepare ~scale:32 Netlist.Designs.M0 Pdk.Cell_arch.Closed_m1
+
+let test_baseline_is_evaluate () =
+  let p = small () in
+  let params = Vm1.Params.default p.Place.Placement.tech in
+  let e, clock_ps = Report.Flow.evaluate params p in
+  let b, r = Report.Flow.baseline params p in
+  checkb "same init eval" true (b.Report.Flow.init = e);
+  checkb "same clock" true (b.Report.Flow.clock_ps = clock_ps);
+  let s = Route.Metrics.summarize r in
+  check "route's dM1 is the measured one" e.Report.Flow.dm1 s.Route.Metrics.dm1;
+  check "route's via12 is the measured one" e.Report.Flow.via12 s.via12;
+  check "route's DRVs are the measured ones" e.Report.Flow.drvs s.drvs
+
+let test_baseline_then_optimise () =
+  let a = Report.Flow.run_comparison (small ()) in
+  let p = small () in
+  let params = Vm1.Params.default p.Place.Placement.tech in
+  let b, _ = Report.Flow.baseline params p in
+  let c = Report.Flow.optimise params b p in
+  checkb "same init" true (a.Report.Flow.init = c.Report.Flow.init);
+  checkb "same final" true (a.Report.Flow.final = c.Report.Flow.final);
+  check "same instances" a.Report.Flow.instances c.Report.Flow.instances
+
 let () =
   Alcotest.run "flow"
     [
@@ -116,5 +143,8 @@ let () =
           Alcotest.test_case "def roundtrip" `Quick test_def_roundtrip_through_flow;
           Alcotest.test_case "conv12 runs" `Quick test_conv12_flow_runs;
           Alcotest.test_case "deterministic" `Quick test_comparison_determinism;
+          Alcotest.test_case "baseline is evaluate" `Quick test_baseline_is_evaluate;
+          Alcotest.test_case "baseline then optimise" `Quick
+            test_baseline_then_optimise;
         ] );
     ]

@@ -441,6 +441,26 @@ let test_manifest_errors () =
     (manifest_err
        {|{"schema":"vm1dp-bench-manifest/1","name":"x","designs":[{"id":"a","generate":"m0"},{"id":"smoke","def":"m0_smoke.def"}],"archs":["closedm1"],"utils":[0.7],"scales":[16],"params":[{"id":"p","alpha":0},{"id":"q","row_dp":true}]}|})
 
+(* --- the one whole-file reader every loader shares --------------------- *)
+
+let test_read_whole_file_bytes () =
+  (* binary mode: CR LF, NUL and high bytes come back untranslated *)
+  let text = "VERSION 5.8 ;\r\n#\000\255\nEND DESIGN\n" in
+  let path = Filename.temp_file "vm1dp_lex" ".def" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      checks "bytes read back unchanged" text (Io.Lex.read_whole_file path))
+
+let test_read_whole_file_bad_path () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "vm1dp_no/such.def" in
+  match Io.Lex.read_whole_file path with
+  | _ -> Alcotest.fail "a missing file was read"
+  | exception Sys_error _ -> ()
+
 (* --- the reason the codec exists: QoR survives the round-trip --------- *)
 
 let fstr f = Printf.sprintf "%.17g" f
@@ -515,6 +535,13 @@ let () =
           Alcotest.test_case "params round-trip" `Quick
             test_manifest_params_roundtrip;
           Alcotest.test_case "errors" `Quick test_manifest_errors;
+        ] );
+      ( "lex",
+        [
+          Alcotest.test_case "read_whole_file bytes" `Quick
+            test_read_whole_file_bytes;
+          Alcotest.test_case "read_whole_file bad path" `Quick
+            test_read_whole_file_bad_path;
         ] );
       ( "qor",
         [
