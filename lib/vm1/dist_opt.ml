@@ -22,13 +22,19 @@ type stats = {
 (* Windows of one diagonal batch have pairwise-disjoint projections, so
    their subproblems are independent: extraction reads the placement,
    solving touches only problem-internal state, committing writes disjoint
-   cells. Extract and commit run sequentially; solving fans out over
-   domains. The result is identical to the sequential order. *)
+   cells. A batch runs in four steps: the key phase of extraction for
+   every window; with a cache attached, every key and probe; the table
+   phase for the windows that must be solved; then the solves, while a
+   hit replays its cached assignment into its frame and commits it with
+   no tables at all. Extraction, probes, replays and commits run
+   sequentially; solving fans out over domains. The result is identical
+   to the sequential order. *)
 (* Metric handles are created once: window solves run on worker domains,
    and a per-call registry lookup would reintroduce lock contention
    there. Counter bumps and histogram observations are domain-safe. *)
 let c_windows_solved = Obs.counter "scp.windows_solved"
 let c_moves = Obs.counter "scp.moves"
+let c_tables_built = Obs.counter "distopt.tables_built"
 let h_window_moves = Obs.histogram "distopt.window_moves"
 
 (* Allocation-pressure gauge: minor words burned per window across a
@@ -43,11 +49,11 @@ let g_minor_words = Obs.gauge "distopt.minor_words_per_window"
 (* Per-window attribution span: identifies the window (grid indices,
    site/row origin, DBU bounding box) and carries the before/after QoR
    counts [vm1trace attribute] joins on. The QoR recounts only run while
-   instrumentation is on; results are unchanged either way. *)
-let window_attrs (w : Window.t) problem =
+   instrumentation is on or a cache entry will keep them; results are
+   unchanged either way. *)
+let window_attrs (w : Window.t) (tech : Pdk.Tech.t) =
   if not (Obs.enabled ()) then []
   else begin
-    let tech = problem.Wproblem.placement.Place.Placement.tech in
     let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
     [
       ("ix", `Int w.Window.ix);
@@ -61,92 +67,148 @@ let window_attrs (w : Window.t) problem =
     ]
   end
 
-let with_window_span (w : Window.t) problem f =
-  Obs.with_span "distopt.window" ~attrs:(window_attrs w problem) (fun () ->
-      let q0 =
-        if Obs.enabled () then Some (Wproblem.qor problem) else None
-      in
-      let s : Scp_solver.stats = f () in
-      (match q0 with
-      | Some q0 ->
-        let q1 = Wproblem.qor problem in
-        Obs.add_attr "moves" (`Int s.Scp_solver.moves);
-        Obs.add_attr "obj0" (`Float s.Scp_solver.objective_before);
-        Obs.add_attr "obj1" (`Float s.Scp_solver.objective_after);
-        Obs.add_attr "hpwl0_dbu" (`Int q0.Wproblem.hpwl_dbu);
-        Obs.add_attr "hpwl1_dbu" (`Int q1.Wproblem.hpwl_dbu);
-        Obs.add_attr "align0" (`Int q0.Wproblem.alignments);
-        Obs.add_attr "align1" (`Int q1.Wproblem.alignments);
-        Obs.add_attr "ov0" (`Int q0.Wproblem.overlap_sum);
-        Obs.add_attr "ov1" (`Int q1.Wproblem.overlap_sum)
-      | None -> ());
-      s)
+let add_outcome_attrs (s : Scp_solver.stats) (q0 : Wproblem.qor)
+    (q1 : Wproblem.qor) =
+  Obs.add_attr "moves" (`Int s.Scp_solver.moves);
+  Obs.add_attr "obj0" (`Float s.Scp_solver.objective_before);
+  Obs.add_attr "obj1" (`Float s.Scp_solver.objective_after);
+  Obs.add_attr "hpwl0_dbu" (`Int q0.Wproblem.hpwl_dbu);
+  Obs.add_attr "hpwl1_dbu" (`Int q1.Wproblem.hpwl_dbu);
+  Obs.add_attr "align0" (`Int q0.Wproblem.alignments);
+  Obs.add_attr "align1" (`Int q1.Wproblem.alignments);
+  Obs.add_attr "ov0" (`Int q0.Wproblem.overlap_sum);
+  Obs.add_attr "ov1" (`Int q1.Wproblem.overlap_sum)
 
-let solve_window (w : Window.t) problem ~mode =
-  with_window_span w problem (fun () -> Scp_solver.solve ~mode problem)
+let no_qor = { Wproblem.hpwl_dbu = 0; alignments = 0; overlap_sum = 0 }
 
-(* A cache hit replays the memoised assignment instead of solving.
-   Candidate indices are translation-invariant, so the replay lands each
-   cell exactly where a fresh solve of this (canonically equal) problem
-   would; the cached stats are the fresh solve's stats verbatim. The
-   window span is emitted either way so traces keep full coverage. *)
-let replay_window (w : Window.t) problem (entry : Wcache.entry) =
-  with_window_span w problem (fun () ->
-      Wproblem.set_assignment problem entry.Wcache.assignment;
+(* [keep_qor]: count the before/after QoR even untraced, for a cache
+   entry to carry to a later, possibly traced, hit *)
+let solve_window (w : Window.t) problem ~mode ~keep_qor =
+  Obs.with_span "distopt.window"
+    ~attrs:(window_attrs w problem.Wproblem.placement.Place.Placement.tech)
+    (fun () ->
+      let qor = keep_qor || Obs.enabled () in
+      let q0 = if qor then Wproblem.qor problem else no_qor in
+      let s = Scp_solver.solve ~mode problem in
+      let q1 = if qor then Wproblem.qor problem else no_qor in
+      if Obs.enabled () then add_outcome_attrs s q0 q1;
+      (s, q0, q1))
+
+(* A cache hit replays the memoised assignment into its frame instead
+   of solving. Candidate indices are translation-invariant, so the
+   replay lands each cell exactly where a fresh solve of this
+   (canonically equal) problem would; the cached stats and QoR are the
+   fresh solve's verbatim. The window span is emitted either way so
+   traces keep full coverage. *)
+let replay_window (w : Window.t) (f : Wproblem.frame) (entry : Wcache.entry) =
+  let tech = (f :> Wproblem.t).Wproblem.placement.Place.Placement.tech in
+  Obs.with_span "distopt.window" ~attrs:(window_attrs w tech) (fun () ->
+      Wproblem.replay f entry.Wcache.assignment;
+      if Obs.enabled () then
+        add_outcome_attrs entry.Wcache.stats entry.Wcache.qor0
+          entry.Wcache.qor1;
       entry.Wcache.stats)
 
-let solve_batch ~parallel ~mode ~wcache (batch : Window.t array) problems =
-  let n = Array.length problems in
-  let stats = Array.make n None in
+(* A window of a batch after extraction: a cache hit keeps only its
+   key-phase frame and the cached entry; every other window has its
+   solvable problem and, with a cache attached, the key to file its
+   solution under. *)
+type slot =
+  | Replay of Wproblem.frame * Wcache.entry
+  | Solve of Wproblem.t * string option
+
+let build_tables f =
+  Obs.Counter.incr c_tables_built;
+  Wproblem.tables f
+
+(* Steps 1-3 of a batch: the key phase for every window; with a cache,
+   every key and probe; the table phase for the windows that must be
+   solved. The cache is domain-confined, and all of this runs on the
+   coordinating domain. *)
+let extract_batch p params (c : config) (batch : Window.t array) =
+  (* one O(instances) bucketing shared by the whole batch; rebuilt per
+     batch because commits move cells between batches *)
+  let rows = Wproblem.row_index p in
+  let frames =
+    Array.map
+      (fun (w : Window.t) ->
+        Wproblem.frame ?candidate_cost:c.candidate_cost ~rows p params
+          ~site_lo:w.site_lo ~row_lo:w.row_lo ~bw:w.bw ~bh:w.bh
+          ~movable:w.movable ~lx:c.lx ~ly:c.ly ~allow_flip:c.allow_flip
+          ~allow_move:c.allow_move)
+      batch
+  in
+  match c.wcache with
+  | None -> Array.map (fun f -> Solve (build_tables f, None)) frames
+  | Some cache ->
+    let keys =
+      Array.map
+        (fun (f : Wproblem.frame) -> Wcache.key ~mode:c.mode (f :> Wproblem.t))
+        frames
+    in
+    let cached = Array.map (Wcache.find cache) keys in
+    Array.mapi
+      (fun i f ->
+        match cached.(i) with
+        | Some entry -> Replay (f, entry)
+        | None -> Solve (build_tables f, Some keys.(i)))
+      frames
+
+(* Step 4: replay the hits, solve the rest, file the solved windows in
+   the cache; the total moves *)
+let solve_batch ~parallel ~mode ~wcache (batch : Window.t array) slots =
+  let n = Array.length slots in
+  let stats = Array.make n None and entries = Array.make n None in
   let record i (s : Scp_solver.stats) =
     Obs.Counter.incr c_windows_solved;
     Obs.Counter.add c_moves s.Scp_solver.moves;
     Obs.Histogram.observe h_window_moves (float_of_int s.Scp_solver.moves);
     stats.(i) <- Some s
   in
-  let solve i = record i (solve_window batch.(i) problems.(i) ~mode) in
+  let miss_rev = ref [] in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Replay (f, entry) -> record i (replay_window batch.(i) f entry)
+      | Solve (t, key) -> miss_rev := (i, t, key) :: !miss_rev)
+    slots;
+  let solve (i, t, key) =
+    let s, qor0, qor1 =
+      solve_window batch.(i) t ~mode ~keep_qor:(Option.is_some key)
+    in
+    record i s;
+    if Option.is_some key then
+      entries.(i) <-
+        Some
+          { Wcache.assignment = Wproblem.assignment t; stats = s; qor0; qor1 }
+  in
   (* Window solves fan out over the persistent Exec pool: the worker
      domains are spawned once per process, not once per batch, so the
      only Domain.spawn cost is warm-up (the exec.domain_spawns counter
      stays flat across batches). Per-index writes keep the result
      identical to the sequential order for every pool size. *)
-  let solve_all ~parallel n solve =
-    if (not parallel) || n <= 1 then
-      for i = 0 to n - 1 do
-        solve i
-      done
-    else Exec.parallel_for n solve
-  in
-  (match wcache with
-  | None -> solve_all ~parallel n solve
-  | Some cache ->
-    (* The cache is domain-confined: keys, probes, replays and inserts
-       all run on the coordinating domain; only the misses fan out. *)
-    let keys = Array.map (Wcache.key ~mode) problems in
-    let cached = Array.map (Wcache.find cache) keys in
-    let miss_rev = ref [] in
-    for i = 0 to n - 1 do
-      match cached.(i) with
-      | Some entry -> record i (replay_window batch.(i) problems.(i) entry)
-      | None -> miss_rev := i :: !miss_rev
-    done;
-    let misses = Array.of_list (List.rev !miss_rev) in
-    solve_all ~parallel (Array.length misses) (fun j -> solve misses.(j));
-    Array.iter
-      (fun i ->
-        match stats.(i) with
-        | Some s ->
-          Wcache.add cache keys.(i)
-            {
-              Wcache.assignment = Wproblem.assignment problems.(i);
-              stats = s;
-            }
-        | None -> ())
-      misses);
+  let misses = Array.of_list (List.rev !miss_rev) in
+  let m = Array.length misses in
+  if (not parallel) || m <= 1 then Array.iter solve misses
+  else Exec.parallel_for m (fun j -> solve misses.(j));
+  (* inserts stay on the calling domain, in window order *)
+  Option.iter
+    (fun cache ->
+      Array.iteri
+        (fun i slot ->
+          match (slot, entries.(i)) with
+          | Solve (_, Some key), Some entry -> Wcache.add cache key entry
+          | _ -> ())
+        slots)
+    wcache;
   Array.fold_left
     (fun acc s ->
       match s with Some s -> acc + s.Scp_solver.moves | None -> acc)
     0 stats
+
+let commit_slot = function
+  | Replay (f, _) -> Wproblem.commit (f :> Wproblem.t)
+  | Solve (t, _) -> Wproblem.commit t
 
 let run (p : Place.Placement.t) (params : Params.t) (c : config) =
   Obs.with_span "distopt.run" (fun () ->
@@ -161,33 +223,22 @@ let run (p : Place.Placement.t) (params : Params.t) (c : config) =
           Obs.with_span "distopt.batch"
             ~attrs:[ ("windows", `Int (Array.length batch)) ]
             (fun () ->
-              let problems =
+              let slots =
                 Obs.with_span "distopt.extract" (fun () ->
-                    (* one O(instances) bucketing shared by the whole
-                       batch; rebuilt per batch because commits move
-                       cells between batches *)
-                    let rows = Wproblem.row_index p in
-                    Array.map
-                      (fun (w : Window.t) ->
-                        Wproblem.extract ?candidate_cost:c.candidate_cost
-                          ~rows p params ~site_lo:w.site_lo ~row_lo:w.row_lo
-                          ~bw:w.bw ~bh:w.bh ~movable:w.movable ~lx:c.lx
-                          ~ly:c.ly ~allow_flip:c.allow_flip
-                          ~allow_move:c.allow_move)
-                      batch)
+                    extract_batch p params c batch)
               in
               let moves =
                 Obs.with_span "distopt.solve" (fun () ->
                     let m =
                       solve_batch ~parallel:c.parallel ~mode:c.mode
-                        ~wcache:c.wcache batch problems
+                        ~wcache:c.wcache batch slots
                     in
                     Obs.add_attr "moves" (`Int m);
                     m)
               in
               total_moves := !total_moves + moves;
               Obs.with_span "distopt.commit" (fun () ->
-                  Array.iter Wproblem.commit problems)))
+                  Array.iter commit_slot slots)))
         batches;
       if Obs.enabled () && Array.length windows > 0 then
         Obs.Gauge.set g_minor_words

@@ -25,10 +25,11 @@ type config = {
   candidate_cost : (site:int -> row:int -> float) option;
   (** static per-candidate penalty (congestion-aware extension) *)
   wcache : Wcache.t option;
-  (** memo-cache of solved windows, probed before every window solve
-      (see {!Wcache}). Hits replay the cached assignment; misses solve
-      and populate. The cache is touched only from the calling domain —
-      probes/replays/inserts never run on pool workers — so any
+  (** memo-cache of solved windows, probed with each window's key-phase
+      frame (see {!Wcache}). A hit replays the cached assignment into
+      the frame and never builds the solver tables; a miss builds them,
+      solves and populates. The cache is touched only from the calling
+      domain — probes/replays/inserts never run on pool workers — so any
       domain-confined instance is safe, and results are byte-identical
       with the cache on or off (the hit ≡ miss invariant). *)
 }
@@ -46,8 +47,11 @@ type stats = {
     window's identity (grid indices, site/row origin, DBU bounding box)
     and before/after QoR attrs (objective, HPWL, alignments, overlaps —
     the join keys and measures of [vm1trace attribute]),
-    [scp.windows_solved] / [scp.moves] counters and the
-    [distopt.window_moves] histogram — identical placement results with
-    instrumentation on or off. Under [parallel], [distopt.window] spans
+    [scp.windows_solved] / [scp.moves] / [distopt.tables_built] counters
+    and the [distopt.window_moves] histogram — identical placement
+    results with instrumentation on or off. A cache hit's
+    [distopt.window] span carries the same attrs as the miss it replays.
+    [distopt.extract] times extraction and, with a cache, the keys and
+    probes. Under [parallel], [distopt.window] spans
     solved on worker domains surface as their own roots. *)
 val run : Place.Placement.t -> Params.t -> config -> stats

@@ -85,7 +85,48 @@ let rec free_but_own occ i stop own_lo own_hi =
       (n = '\000' || (n = '\001' && i >= own_lo && i < own_hi))
       && free_but_own occ (i + 1) stop own_lo own_hi)
 
-(* --- extraction --- *)
+(* --- extraction ---
+
+   Two phases. The key phase ([frame]) builds exactly what the
+   window-cache key reads: fixed occupancy, every cell's candidates and
+   candidate penalties, the window nets with their weights, and the pin
+   records (owner, slot, a fixed pin's coordinates). The table phase
+   ([tables]) derives the solver tables from a frame: candidate pin
+   coordinates, the lattice, footprint indices, the pair prefilter, the
+   incidence, live occupancy and scratch. A cache hit stops after the
+   key phase. *)
+
+type frame = t
+
+(* placeholders for the fields a frame leaves to [tables]; never
+   written *)
+let no_cand = { site = 0; row = 0; orient = Geom.Orient.N }
+
+let no_ints : int array = [||]
+
+let no_cell =
+  {
+    inst = -1;
+    width = 0;
+    npins = 0;
+    cands = [||];
+    xy = no_ints;
+    lattice = no_ints;
+    at = no_ints;
+    cand_cost = [||];
+    cur = 0;
+  }
+
+let no_scratch =
+  {
+    acc = [||];
+    plan = no_ints;
+    plan_len = 0;
+    kept = no_ints;
+    kept_len = 0;
+    saved = no_ints;
+    ids = no_ints;
+  }
 
 (* Row-bucketed instance ids, for fixed-occupancy extraction. Built once
    per batch (positions are stable until the batch commits), it turns the
@@ -105,17 +146,21 @@ let prefix_sum start =
     start.(i) <- start.(i) + start.(i - 1)
   done
 
-let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
+let[@vm1.hot] frame ?candidate_cost ?rows (p : Place.Placement.t)
     (params : Params.t) ~site_lo ~row_lo ~bw ~bh ~movable ~lx ~ly ~allow_flip
-    ~allow_move =
+    ~allow_move : frame =
   let design = p.design in
-  let tech = p.tech in
-  let movable = Array.of_list movable in
-  let n_cells = Array.length movable in
+  let n_cells = List.length movable in
   let cell_of_inst = Hashtbl.create (2 * n_cells) in
-  for c = 0 to n_cells - 1 do
-    Hashtbl.replace cell_of_inst movable.(c) c
-  done;
+  let movable_a = Array.make n_cells 0 in
+  let rec index c = function
+    | [] -> ()
+    | i :: rest ->
+      movable_a.(c) <- i;
+      Hashtbl.replace cell_of_inst i c;
+      index (c + 1) rest
+  in
+  index 0 movable;
   let cell_of i = try Hashtbl.find cell_of_inst i with Not_found -> -1 in
   (* fixed occupancy: every instance footprint intersecting the window,
      except the movable ones *)
@@ -151,88 +196,47 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
       if r >= row_lo && r <= row_hi then mark_fixed i r
     done);
   (* candidate generation: orientation groups (the input one, then its
-     flip), site offsets, row offsets; candidate 0 is the input position *)
+     flip), site offsets, row offsets, each range clipped to the window
+     and the die; candidate 0 is the input position *)
   let move_s = if allow_move then lx else 0 in
   let move_r = if allow_move then ly else 0 in
-  let span_s = (2 * move_s) + 1 and span_r = (2 * move_r) + 1 in
   let n_groups = if allow_flip then 2 else 1 in
-  let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
-  let make_cell inst_id =
-    let inst = design.Netlist.Design.instances.(inst_id) in
-    let w = inst.master.Pdk.Stdcell.width_sites in
+  let s_first = imax site_lo 0
+  and s_last = imin site_hi (p.sites_per_row - 1) in
+  let r_first = imax row_lo 0 and r_last = imin row_hi (p.num_rows - 1) in
+  let found =
+    Array.make (n_groups * ((2 * move_s) + 1) * ((2 * move_r) + 1)) no_cand
+  in
+  let n_cands = ref 0 in
+  let cells = Array.make n_cells no_cell in
+  for c = 0 to n_cells - 1 do
+    let inst_id = movable_a.(c) in
+    let master = design.Netlist.Design.instances.(inst_id).master in
+    let w = master.Pdk.Stdcell.width_sites in
     let s0 = Place.Placement.site_of_inst p inst_id in
     let r0 = Place.Placement.row_of_inst p inst_id in
     let o0 = p.orients.(inst_id) in
-    let orient g = if g = 0 then o0 else Geom.Orient.flip_y o0 in
-    let lattice = Array.make (n_groups * span_r * span_s) (-1) in
-    let point g dr ds =
-      (((g * span_r) + dr + move_r) * span_s) + ds + move_s
-    in
-    lattice.(point 0 0 0) <- 0;
-    let n_cands = ref 1 in
+    found.(0) <- { site = s0; row = r0; orient = o0 };
+    n_cands := 1;
+    let ds_lo = imax (-move_s) (s_first - s0)
+    and ds_hi = imin move_s (s_last - w + 1 - s0) in
+    let dr_lo = imax (-move_r) (r_first - r0)
+    and dr_hi = imin move_r (r_last - r0) in
     for g = 0 to n_groups - 1 do
-      for ds = -move_s to move_s do
-        for dr = -move_r to move_r do
-          let site = s0 + ds and row = r0 + dr in
-          if
-            (g > 0 || ds <> 0 || dr <> 0)
-            && site >= site_lo
-            && site + w - 1 <= site_hi
-            && row >= row_lo && row <= row_hi
-            && row >= 0
-            && row < p.num_rows
-            && site >= 0
-            && site + w <= p.sites_per_row
-            && free_from fixed_occ (occ_at site row) (occ_at site row + w)
+      let orient = if g = 0 then o0 else Geom.Orient.flip_y o0 in
+      for ds = ds_lo to ds_hi do
+        for dr = dr_lo to dr_hi do
+          let i = occ_at (s0 + ds) (r0 + dr) in
+          if (g > 0 || ds <> 0 || dr <> 0) && free_from fixed_occ i (i + w)
           then begin
-            lattice.(point g dr ds) <- !n_cands;
+            found.(!n_cands) <- { site = s0 + ds; row = r0 + dr; orient };
             n_cands := !n_cands + 1
           end
         done
       done
     done;
-    (* placed pin geometry is affine in the cell origin, so the master's
-       shape lists are walked once per orientation (at site/row 0) and
-       every candidate's coordinates are a translation of that base *)
-    let npins = List.length inst.master.Pdk.Stdcell.pins in
-    let base = Array.make (n_groups * npins * 4) 0 in
-    for g = 0 to n_groups - 1 do
-      for j = 0 to npins - 1 do
-        let b : Align.pin_geom =
-          Align.of_candidate p
-            { Netlist.Design.inst = inst_id; pin = j }
-            ~site:0 ~row:0 ~orient:(orient g)
-        in
-        let o = ((g * npins) + j) * 4 in
-        base.(o) <- b.ax;
-        base.(o + 1) <- b.x_lo;
-        base.(o + 2) <- b.x_hi;
-        base.(o + 3) <- b.y
-      done
-    done;
-    let cand0 = { site = s0; row = r0; orient = o0 } in
-    let cands = Array.make !n_cands cand0 in
-    let xy = Array.make (!n_cands * npins * 4) 0 in
-    for g = 0 to n_groups - 1 do
-      for ds = -move_s to move_s do
-        for dr = -move_r to move_r do
-          let k = lattice.(point g dr ds) in
-          if k >= 0 then begin
-            let site = s0 + ds and row = r0 + dr in
-            if k > 0 then cands.(k) <- { site; row; orient = orient g };
-            let dx = site * sw and dy = row * rh in
-            for f = 0 to (npins * 4) - 1 do
-              xy.((k * npins * 4) + f) <-
-                base.((g * npins * 4) + f) + if f land 3 = 3 then dy else dx
-            done
-          end
-        done
-      done
-    done;
-    let at = Array.make !n_cands 0 in
-    for k = 0 to !n_cands - 1 do
-      at.(k) <- occ_at cands.(k).site cands.(k).row
-    done;
+    let cands = Array.make !n_cands no_cand in
+    Array.blit found 0 cands 0 !n_cands;
     let cand_cost = Array.make !n_cands 0.0 in
     (match candidate_cost with
     | None -> ()
@@ -240,19 +244,27 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
       for k = 0 to !n_cands - 1 do
         cand_cost.(k) <- f ~site:cands.(k).site ~row:cands.(k).row
       done);
-    { inst = inst_id; width = w; npins; cands; xy; lattice; at; cand_cost;
-      cur = 0 }
-  in
-  let cells = Array.map make_cell movable in
+    cells.(c) <-
+      {
+        no_cell with
+        inst = inst_id;
+        width = w;
+        npins = List.length master.Pdk.Stdcell.pins;
+        cands;
+        cand_cost;
+      }
+  done;
   (* nets touching movable cells, ascending id: the net order fixes the
      float-summation order of the objective, which must be
-     byte-reproducible *)
+     byte-reproducible. They are marked in a byte map over their id
+     range, which is read back in order. *)
   let n_slots = ref 0 in
   for c = 0 to n_cells - 1 do
     n_slots := !n_slots + cells.(c).npins
   done;
-  let net_ids = Array.make !n_slots max_int in
+  let net_ids = Array.make !n_slots 0 in
   let n_found = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
   for c = 0 to n_cells - 1 do
     let pin_nets = design.instances.(cells.(c).inst).pin_nets in
     for j = 0 to Array.length pin_nets - 1 do
@@ -261,30 +273,33 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
         let net = design.nets.(n) in
         if (not net.is_clock) && Array.length net.pins >= 2 then begin
           net_ids.(!n_found) <- n;
-          n_found := !n_found + 1
+          n_found := !n_found + 1;
+          lo := imin !lo n;
+          hi := imax !hi n
         end
       end
     done
   done;
-  Array.sort Int.compare net_ids;
-  let n_nets = ref 0 in
+  let seen = Bytes.make (imax 0 (!hi - !lo + 1)) '\000' in
   for i = 0 to !n_found - 1 do
-    if i = 0 || net_ids.(i) <> net_ids.(i - 1) then begin
-      net_ids.(!n_nets) <- net_ids.(i);
+    Bytes.set seen (net_ids.(i) - !lo) '\001'
+  done;
+  let n_nets = ref 0 in
+  for i = 0 to Bytes.length seen - 1 do
+    if Bytes.get seen i <> '\000' then begin
+      net_ids.(!n_nets) <- !lo + i;
       n_nets := !n_nets + 1
     end
   done;
   let n_nets = !n_nets in
-  (* the pin table, net by net; a movable pin starts at candidate 0 *)
+  (* the pin records, net by net; a movable pin's coordinates are left
+     to [tables] *)
   let net_start = Array.make (n_nets + 1) 0 in
-  let max_pairs = ref 0 in
   for n = 0 to n_nets - 1 do
-    let k = Array.length design.nets.(net_ids.(n)).pins in
-    net_start.(n + 1) <- net_start.(n) + k;
-    max_pairs := !max_pairs + (k * (k - 1) / 2)
+    net_start.(n + 1) <-
+      net_start.(n) + Array.length design.nets.(net_ids.(n)).pins
   done;
-  let n_pins = net_start.(n_nets) in
-  let pins = Array.make (n_pins * pin_stride) 0 in
+  let pins = Array.make (net_start.(n_nets) * pin_stride) 0 in
   let net_weight = Array.make n_nets 0.0 in
   for n = 0 to n_nets - 1 do
     net_weight.(n) <- Params.net_weight params net_ids.(n);
@@ -295,8 +310,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
       let c = cell_of pr.inst in
       pins.(k) <- c;
       pins.(k + 1) <- 4 * pr.pin;
-      if c >= 0 then Array.blit cells.(c).xy (4 * pr.pin) pins (k + 2) 4
-      else begin
+      if c < 0 then begin
         let g : Align.pin_geom = Align.of_placed p pr in
         pins.(k + 2) <- g.ax;
         pins.(k + 3) <- g.x_lo;
@@ -304,6 +318,107 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
         pins.(k + 5) <- g.y
       end
     done
+  done;
+  {
+    placement = p;
+    params;
+    is_open = p.tech.Pdk.Tech.arch = Pdk.Cell_arch.Open_m1;
+    site_lo;
+    row_lo;
+    bw;
+    bh;
+    move_s;
+    move_r;
+    cells;
+    net_weight;
+    net_start;
+    pins;
+    pair_pins = no_ints;
+    cell_net_start = no_ints;
+    cell_nets = no_ints;
+    cell_pair_start = no_ints;
+    cell_pairs = no_ints;
+    cell_pin_start = no_ints;
+    cell_pins = no_ints;
+    occ = Bytes.empty;
+    owner = no_ints;
+    fixed_occ;
+    scratch = no_scratch;
+  }
+
+let[@vm1.hot] tables (f : frame) : t =
+  let p = f.placement in
+  let tech = p.tech in
+  let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
+  let bw = f.bw and bh = f.bh in
+  let move_s = f.move_s and move_r = f.move_r in
+  let span_s = (2 * move_s) + 1 and span_r = (2 * move_r) + 1 in
+  let n_cells = Array.length f.cells in
+  (* per cell: the lattice, the candidates' pin coordinates and
+     footprint indices, all derived from the candidate list. Placed pin
+     geometry is affine in the cell origin, so the master's shapes are
+     walked once per orientation (at site/row 0) and every candidate's
+     coordinates are a translation of that base. *)
+  let cells = Array.make n_cells no_cell in
+  for c = 0 to n_cells - 1 do
+    let cell = f.cells.(c) in
+    let cands = cell.cands and npins = cell.npins in
+    let n_cands = Array.length cands in
+    let c0 = cands.(0) in
+    let flipped0 = Geom.Orient.is_flipped c0.orient in
+    (* orientation group 0 is candidate 0's orientation, group 1 its
+       flip *)
+    let n_groups = ref 1 in
+    for k = 1 to n_cands - 1 do
+      if not (Bool.equal (Geom.Orient.is_flipped cands.(k).orient) flipped0)
+      then n_groups := 2
+    done;
+    let n_groups = !n_groups in
+    let block = npins * 4 in
+    let base = Array.make (n_groups * block) 0 in
+    for g = 0 to n_groups - 1 do
+      let orient = if g = 0 then c0.orient else Geom.Orient.flip_y c0.orient in
+      for j = 0 to npins - 1 do
+        let b : Align.pin_geom =
+          Align.of_candidate p
+            { Netlist.Design.inst = cell.inst; pin = j }
+            ~site:0 ~row:0 ~orient
+        in
+        let o = (g * block) + (j * 4) in
+        base.(o) <- b.ax;
+        base.(o + 1) <- b.x_lo;
+        base.(o + 2) <- b.x_hi;
+        base.(o + 3) <- b.y
+      done
+    done;
+    let lattice = Array.make (n_groups * span_r * span_s) (-1) in
+    let xy = Array.make (n_cands * block) 0 in
+    let at = Array.make n_cands 0 in
+    for k = 0 to n_cands - 1 do
+      let cand = cands.(k) in
+      let g =
+        if Bool.equal (Geom.Orient.is_flipped cand.orient) flipped0 then 0
+        else 1
+      in
+      lattice.((((g * span_r) + cand.row - c0.row + move_r) * span_s)
+               + cand.site - c0.site + move_s) <- k;
+      let dx = cand.site * sw and dy = cand.row * rh in
+      for o = 0 to block - 1 do
+        xy.((k * block) + o) <-
+          base.((g * block) + o) + if o land 3 = 3 then dy else dx
+      done;
+      at.(k) <- site_idx f ~site:cand.site ~row:cand.row
+    done;
+    cells.(c) <- { cell with xy; lattice; at }
+  done;
+  (* a movable pin starts at its owner's candidate 0 *)
+  let pins = f.pins and net_start = f.net_start in
+  let n_nets = Array.length f.net_weight in
+  let n_pins = net_start.(n_nets) in
+  for q = 0 to n_pins - 1 do
+    let k = q * pin_stride in
+    let c = pins.(k) in
+    if c >= 0 then Array.blit cells.(c).xy pins.(k + 1) pins (k + 2) 4
   done;
   (* pair prefilter: keep pairs that can satisfy the dM1 predicate under
      some candidate combination, judged on each pin's envelope over its
@@ -340,13 +455,13 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
       done
     end
   done;
-  let is_open = tech.Pdk.Tech.arch = Pdk.Cell_arch.Open_m1 in
+  let params = f.params in
   let feasible_pair a b =
     let ea = a * 6 and eb = b * 6 in
     let dy_min =
       imax 0 (imax (env.(ea + 4) - env.(eb + 5)) (env.(eb + 4) - env.(ea + 5)))
     in
-    if is_open then
+    if f.is_open then
       imin env.(ea + 3) env.(eb + 3) - imax env.(ea + 2) env.(eb + 2)
       >= params.Params.delta
       && dy_min <= params.Params.gamma * rh
@@ -354,19 +469,20 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
       imax env.(ea) env.(eb) <= imin env.(ea + 1) env.(eb + 1)
       && dy_min <= params.Params.closed_gamma * rh
   in
+  let max_pairs = ref 0 in
+  for n = 0 to n_nets - 1 do
+    let k = net_start.(n + 1) - net_start.(n) in
+    max_pairs := !max_pairs + (k * (k - 1) / 2)
+  done;
   let found = Array.make (2 * !max_pairs) 0 in
   let n_pairs = ref 0 in
   for n = 0 to n_nets - 1 do
-    let net_pins = design.nets.(net_ids.(n)).pins in
-    let k = Array.length net_pins in
-    for i = 0 to k - 2 do
-      for j = i + 1 to k - 1 do
-        let a = net_start.(n) + i and b = net_start.(n) + j in
-        if
-          net_pins.(i).inst <> net_pins.(j).inst
-          && (pins.(a * pin_stride) >= 0 || pins.(b * pin_stride) >= 0)
-          && feasible_pair a b
-        then begin
+    for a = net_start.(n) to net_start.(n + 1) - 2 do
+      for b = a + 1 to net_start.(n + 1) - 1 do
+        (* two pins of different instances, one of them movable: the
+           owners differ, and a fixed pin is never a movable cell's *)
+        let ca = pins.(a * pin_stride) and cb = pins.(b * pin_stride) in
+        if ca <> cb && (ca >= 0 || cb >= 0) && feasible_pair a b then begin
           found.(2 * !n_pairs) <- a;
           found.((2 * !n_pairs) + 1) <- b;
           n_pairs := !n_pairs + 1
@@ -447,7 +563,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
     end
   done;
   (* live occupancy = fixed + movable current footprints *)
-  let occ = Bytes.copy fixed_occ in
+  let occ = Bytes.copy f.fixed_occ in
   let owner = Array.make (bw * bh) (-1) in
   let max_incidence = ref 0 in
   for c = 0 to n_cells - 1 do
@@ -460,19 +576,8 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
         + cell_pair_start.(c + 1) - cell_pair_start.(c))
   done;
   {
-    placement = p;
-    params;
-    is_open;
-    site_lo;
-    row_lo;
-    bw;
-    bh;
-    move_s;
-    move_r;
+    f with
     cells;
-    net_weight;
-    net_start;
-    pins;
     pair_pins;
     cell_net_start;
     cell_nets;
@@ -482,10 +587,9 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
     cell_pins;
     occ;
     owner;
-    fixed_occ;
     scratch =
       {
-        acc = [| 0.0 |];
+        acc = Array.make 1 0.0;
         plan = Array.make (2 * max_plan_moves) 0;
         plan_len = 0;
         kept = Array.make (2 * max_plan_moves) 0;
@@ -494,6 +598,12 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t)
         ids = Array.make (max_plan_moves * !max_incidence) 0;
       };
   }
+
+let[@vm1.hot] extract ?candidate_cost ?rows p params ~site_lo ~row_lo ~bw ~bh
+    ~movable ~lx ~ly ~allow_flip ~allow_move =
+  tables
+    (frame ?candidate_cost ?rows p params ~site_lo ~row_lo ~bw ~bh ~movable
+       ~lx ~ly ~allow_flip ~allow_move)
 
 (* --- evaluation ---
 
@@ -686,6 +796,13 @@ let commit t =
       Place.Placement.move t.placement c.inst ~site:cand.site ~row:cand.row
         ~orient:cand.orient)
     t.cells
+
+(* a frame keeps no occupancy and no pin coordinates: only the chosen
+   candidates change, for [commit] to write back *)
+let replay (f : frame) a =
+  if Array.length a <> Array.length f.cells then
+    invalid_arg "Wproblem.replay: arity mismatch";
+  Array.iteri (fun i cand -> f.cells.(i).cur <- cand) a
 
 (* --- multi-cell plans (ripple moves) ---
 

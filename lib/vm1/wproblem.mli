@@ -18,7 +18,7 @@ type candidate = {
 
 (** {2 Table layout}
 
-    The evaluation state is packed int tables that {!extract} writes
+    The evaluation state is packed int tables that {!tables} writes
     directly; the solver kernels read them with index loops and allocate
     nothing.
 
@@ -119,14 +119,47 @@ val num_pairs : t -> int
     scan from a full-design walk into a walk of its own rows. *)
 val row_index : Place.Placement.t -> int list array
 
-(** [extract ?candidate_cost ?rows placement params ~site_lo ~row_lo ~bw
-    ~bh ~movable ~lx ~ly ~allow_flip ~allow_move] builds the subproblem.
+(** {2 Extraction}
+
+    Extraction runs in two phases. The {b key phase} ({!frame}) builds
+    what {!Wcache.key} reads and nothing else: fixed occupancy, every
+    cell's [cands] and [cand_cost], the window nets with their weights,
+    and the pin records (owner, slot, and a fixed pin's coordinates).
+    The {b table phase} ({!tables}) derives everything only a solve
+    reads from that: the cells' [xy], [lattice] and [at], the movable
+    pins' coordinates, the pair prefilter, the incidence, [occ], [owner]
+    and scratch. {!extract} is the two in sequence; a window-cache hit
+    needs only the first. *)
+
+(** A window after the key phase: a [t] whose solver tables are empty.
+    Coerce it ([(f :> t)]) to read its fields or to {!commit} it; never
+    hand it to a solver or an evaluation function. *)
+type frame = private t
+
+(** [frame ?candidate_cost ?rows placement params ~site_lo ~row_lo ~bw
+    ~bh ~movable ~lx ~ly ~allow_flip ~allow_move] is the key phase.
     [movable] lists the instances fully inside the window; instances
     overlapping the window but not listed are treated as fixed blockage.
     [candidate_cost], when given, assigns each candidate a static
     objective penalty (e.g. congestion of its tile). [rows], when given,
     must be {!row_index} of the placement's current positions; the
-    resulting problem is identical with or without it. *)
+    result is identical with or without it. Every cell starts at
+    candidate 0. *)
+val frame :
+  ?candidate_cost:(site:int -> row:int -> float) ->
+  ?rows:int list array ->
+  Place.Placement.t -> Params.t ->
+  site_lo:int -> row_lo:int -> bw:int -> bh:int ->
+  movable:int list -> lx:int -> ly:int ->
+  allow_flip:bool -> allow_move:bool -> frame
+
+(** [tables f] is the table phase: the solvable problem of frame [f].
+    It shares [f]'s candidates, nets and pin records (it writes the
+    movable pins' coordinates into the latter, which {!Wcache.key} does
+    not read), so [f] keeps its key. *)
+val tables : frame -> t
+
+(** [extract ... = tables (frame ...)], with {!frame}'s arguments. *)
 val extract :
   ?candidate_cost:(site:int -> row:int -> float) ->
   ?rows:int list array ->
@@ -134,6 +167,13 @@ val extract :
   site_lo:int -> row_lo:int -> bw:int -> bh:int ->
   movable:int list -> lx:int -> ly:int ->
   allow_flip:bool -> allow_move:bool -> t
+
+(** [replay f a] sets every cell of frame [f] to candidate [a.(i)],
+    touching nothing else: a frame has no occupancy or pin coordinates
+    to keep up to date. [commit (f :> t)] then writes the candidates
+    back — a window-cache hit's whole solve.
+    @raise Invalid_argument on an arity mismatch. *)
+val replay : frame -> int array -> unit
 
 (** [objective t] is the window-local objective:
     beta * sum HPWL(nets) - sum pair_gain(pairs). *)
@@ -206,7 +246,9 @@ val apply_kept_plan : t -> int
 (** [apply_plan t plan] applies a list plan in order. *)
 val apply_plan : t -> (int * int) list -> unit
 
-(** [commit t] writes the current candidates back into the placement. *)
+(** [commit t] writes the current candidates back into the placement.
+    It reads only the cells' [inst], [cands] and [cur], so a
+    {!replay}ed frame commits as well. *)
 val commit : t -> unit
 
 (** Raw occupancy primitives for exhaustive search: [lift]/[drop] remove

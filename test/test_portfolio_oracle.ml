@@ -1024,10 +1024,11 @@ let prop_key_classes_match_wkey3 =
               :: (separating @ others))))
 
 (* on real windows: every window of the m0 and aes placements under
-   three window grids, fresh and after a greedy pass, with and without a
-   translation-variant candidate cost, next to the windows of the same
-   placements translated by whole sites and rows; the classes must
-   match, and translation must make collisions for the check to bite *)
+   three window grids and a flip-only pass, fresh and after a greedy
+   pass, with and without a translation-variant candidate cost, next to
+   the windows of the same placements translated by whole sites and
+   rows; the classes must match, and translation must make collisions
+   for the check to bite *)
 let test_real_window_classes () =
   let keys = ref [] and n = ref 0 in
   List.iter
@@ -1039,15 +1040,16 @@ let test_real_window_classes () =
             else None
           in
           (* the windows of [p], extracted from [p] translated by (dx, dy)
-             at their translated origins *)
+             at their translated origins; no displacement range is
+             Algorithm 1's flip-only pass *)
+          let allow_move = lx > 0 || ly > 0 in
           let windows ~dx ~dy =
             let q = translate p ~dx ~dy in
             Array.to_list (Vm1.Window.partition p ~tx ~ty:0 ~bw ~bh)
             |> List.map (fun (w : Vm1.Window.t) ->
                    W.extract ?candidate_cost q params ~site_lo:(w.site_lo + dx)
                      ~row_lo:(w.row_lo + dy) ~bw:w.bw ~bh:w.bh
-                     ~movable:w.movable ~lx ~ly ~allow_flip:true
-                     ~allow_move:true)
+                     ~movable:w.movable ~lx ~ly ~allow_flip:true ~allow_move)
           in
           let fresh = windows ~dx:0 ~dy:0 in
           let solved =
@@ -1067,6 +1069,7 @@ let test_real_window_classes () =
           (14, 2, 0, 2, 1, false);
           (20, 3, 7, 3, 1, false);
           (40, 6, 0, 1, 0, true);
+          (40, 6, 0, 0, 0, false);
         ])
     (Lazy.force placements);
   Alcotest.(check bool) "same classes" true (same_classes !keys);

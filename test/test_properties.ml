@@ -380,9 +380,15 @@ let prop_wcache_translation_invariant =
         let t2_fresh = extract_at q ~site_lo ~row_lo in
         let s_fresh = Vm1.Scp_solver.solve ~mode:`Greedy t2_fresh in
         let cache = Vm1.Wcache.create () in
+        let qor0 = Vm1.Wproblem.qor t1 in
         let s1 = Vm1.Scp_solver.solve ~mode:`Greedy t1 in
         Vm1.Wcache.add cache key1
-          { Vm1.Wcache.assignment = Vm1.Wproblem.assignment t1; stats = s1 };
+          {
+            Vm1.Wcache.assignment = Vm1.Wproblem.assignment t1;
+            stats = s1;
+            qor0;
+            qor1 = Vm1.Wproblem.qor t1;
+          };
         (match Vm1.Wcache.find cache key2 with
         | None -> false
         | Some entry ->

@@ -23,11 +23,14 @@ let placed ?(n = 250) ?(seed = 9) ?(utilization = 0.72) lib =
   Place.Global.place p;
   p
 
-let whole_die_problem ?(lx = 3) ?(ly = 1) ?(allow_flip = false) p params =
+let whole_die_frame ?(lx = 3) ?(ly = 1) ?(allow_flip = false) p params =
   let movable = List.init (Place.Placement.num_instances p) (fun i -> i) in
-  Vm1.Wproblem.extract p params ~site_lo:0 ~row_lo:0
+  Vm1.Wproblem.frame p params ~site_lo:0 ~row_lo:0
     ~bw:p.Place.Placement.sites_per_row ~bh:p.Place.Placement.num_rows ~movable
     ~lx ~ly ~allow_flip ~allow_move:true
+
+let whole_die_problem ?lx ?ly ?allow_flip p params =
+  Vm1.Wproblem.tables (whole_die_frame ?lx ?ly ?allow_flip p params)
 
 (* --- Params --- *)
 
@@ -517,9 +520,18 @@ let dummy_stats =
     passes = 1;
   }
 
+let dummy_qor = { Vm1.Wproblem.hpwl_dbu = 0; alignments = 0; overlap_sum = 0 }
+
 let test_wcache_lru_eviction () =
   let c = Vm1.Wcache.create ~capacity:2 () in
-  let entry = { Vm1.Wcache.assignment = [| 0 |]; stats = dummy_stats } in
+  let entry =
+    {
+      Vm1.Wcache.assignment = [| 0 |];
+      stats = dummy_stats;
+      qor0 = dummy_qor;
+      qor1 = dummy_qor;
+    }
+  in
   Vm1.Wcache.add c "a" entry;
   Vm1.Wcache.add c "b" entry;
   (* touch "a" so "b" is the LRU victim when "c" lands *)
@@ -534,67 +546,117 @@ let test_wcache_lru_eviction () =
   check "misses" 1 misses
 
 let test_wcache_hit_is_miss () =
-  (* replaying a memoised assignment into a canonically-equal window
-     lands every cell exactly where a fresh solve would *)
+  (* replaying a memoised assignment into the key-phase frame of a
+     canonically-equal window, and committing it, lands every cell
+     exactly where a fresh solve would; a frame keys as its tables *)
   let p1 = placed ~n:150 closed_lib in
   let p2 = placed ~n:150 closed_lib in
   let t1 = whole_die_problem p1 closed_params in
-  let t2 = whole_die_problem p2 closed_params in
+  let f2 = whole_die_frame p2 closed_params in
   let k1 = Vm1.Wcache.key ~mode:`Greedy t1 in
-  let k2 = Vm1.Wcache.key ~mode:`Greedy t2 in
+  let k2 = Vm1.Wcache.key ~mode:`Greedy (f2 :> Vm1.Wproblem.t) in
   Alcotest.(check string) "equal keys" k1 k2;
+  Alcotest.(check string) "a frame keys as its tables" k2
+    (Vm1.Wcache.key ~mode:`Greedy (Vm1.Wproblem.tables f2));
   let c = Vm1.Wcache.create () in
+  let qor0 = Vm1.Wproblem.qor t1 in
   let s1 = Vm1.Scp_solver.solve ~mode:`Greedy t1 in
   Vm1.Wcache.add c k1
-    { Vm1.Wcache.assignment = Vm1.Wproblem.assignment t1; stats = s1 };
+    {
+      Vm1.Wcache.assignment = Vm1.Wproblem.assignment t1;
+      stats = s1;
+      qor0;
+      qor1 = Vm1.Wproblem.qor t1;
+    };
   (match Vm1.Wcache.find c k2 with
   | None -> Alcotest.fail "expected a cache hit"
-  | Some e -> Vm1.Wproblem.set_assignment t2 e.Vm1.Wcache.assignment);
+  | Some e -> Vm1.Wproblem.replay f2 e.Vm1.Wcache.assignment);
   Vm1.Wproblem.commit t1;
-  Vm1.Wproblem.commit t2;
+  Vm1.Wproblem.commit (f2 :> Vm1.Wproblem.t);
   Alcotest.(check (array int)) "same xs" p1.Place.Placement.xs
     p2.Place.Placement.xs;
   Alcotest.(check (array int)) "same ys" p1.Place.Placement.ys
     p2.Place.Placement.ys
 
+(* the attributes of every distopt.window span of one traced
+   Dist_opt run, in trace order, and the window-cache hits, misses and
+   table phases it counted *)
+let traced_dist_opt p cfg =
+  let counter name = Obs.Counter.value (Obs.counter name) in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      ignore (Vm1.Dist_opt.run p closed_params cfg);
+      let rec windows (s : Obs.Span.t) =
+        (if String.equal s.name "distopt.window" then [ s.attrs ] else [])
+        @ List.concat_map windows s.children
+      in
+      ( List.concat_map windows (Obs.snapshot ()).spans,
+        counter "distopt.wcache_hits",
+        counter "distopt.wcache_misses",
+        counter "distopt.tables_built" ))
+
 let test_dist_opt_cache_transparent () =
   (* a Dist_opt run with a window cache attached is byte-identical to one
-     without, and a warm rerun both hits the cache and reproduces the
-     cold run's placement *)
-  let cfg wcache =
+     without; a warm rerun hits every window, builds no tables,
+     reproduces the cold run's placement (orientations included) and
+     reports the cold run's window attributes. Both DistOpt passes of
+     Algorithm 1: perturbation, and flip-only. *)
+  let cfg ~flip wcache =
     {
       Vm1.Dist_opt.tx = 0;
       ty = 0;
       bw = 40;
       bh = 6;
-      lx = 3;
-      ly = 1;
-      allow_flip = false;
-      allow_move = true;
+      lx = (if flip then 0 else 3);
+      ly = (if flip then 0 else 1);
+      allow_flip = flip;
+      allow_move = not flip;
       mode = `Greedy;
       parallel = false;
       candidate_cost = None;
       wcache;
     }
   in
-  let bare = placed ~n:400 closed_lib in
-  ignore (Vm1.Dist_opt.run bare closed_params (cfg None));
-  let cache = Vm1.Wcache.create () in
-  let cold = placed ~n:400 closed_lib in
-  ignore (Vm1.Dist_opt.run cold closed_params (cfg (Some cache)));
-  Alcotest.(check (array int)) "cache on = cache off (xs)"
-    bare.Place.Placement.xs cold.Place.Placement.xs;
-  Alcotest.(check (array int)) "cache on = cache off (ys)"
-    bare.Place.Placement.ys cold.Place.Placement.ys;
-  checkb "cold pass populated the cache" true (Vm1.Wcache.length cache > 0);
-  let warm = placed ~n:400 closed_lib in
-  ignore (Vm1.Dist_opt.run warm closed_params (cfg (Some cache)));
-  let hits, _ = Vm1.Wcache.stats cache in
-  checkb "warm pass hit the cache" true (hits > 0);
-  Alcotest.(check (array int)) "warm replay = cold solve (xs)"
-    cold.Place.Placement.xs warm.Place.Placement.xs;
-  Alcotest.(check (array int)) "warm replay = cold solve (ys)"
-    cold.Place.Placement.ys warm.Place.Placement.ys
+  let same_placement what (a : Place.Placement.t) (b : Place.Placement.t) =
+    Alcotest.(check (array int)) (what ^ " (xs)") a.xs b.xs;
+    Alcotest.(check (array int)) (what ^ " (ys)") a.ys b.ys;
+    checkb (what ^ " (orients)") true (a.orients = b.orients)
+  in
+  List.iter
+    (fun flip ->
+      let pass = if flip then "flip-only: " else "perturbation: " in
+      let bare = placed ~n:400 closed_lib in
+      ignore (Vm1.Dist_opt.run bare closed_params (cfg ~flip None));
+      let cache = Vm1.Wcache.create () in
+      let cold = placed ~n:400 closed_lib in
+      let cold_spans, cold_hits, cold_misses, cold_tables =
+        traced_dist_opt cold (cfg ~flip (Some cache))
+      in
+      same_placement (pass ^ "cache on = cache off") bare cold;
+      if flip then
+        checkb (pass ^ "the pass flipped cells") true
+          ((placed ~n:400 closed_lib).orients <> cold.orients);
+      check (pass ^ "cold run: no hits") 0 cold_hits;
+      check (pass ^ "cold run: a table phase per miss") cold_misses
+        cold_tables;
+      check (pass ^ "cold run: a span per window") cold_misses
+        (List.length cold_spans);
+      checkb (pass ^ "cold pass populated the cache") true
+        (Vm1.Wcache.length cache > 0);
+      let warm = placed ~n:400 closed_lib in
+      let warm_spans, warm_hits, warm_misses, warm_tables =
+        traced_dist_opt warm (cfg ~flip (Some cache))
+      in
+      check (pass ^ "warm run: every window hits") cold_misses warm_hits;
+      check (pass ^ "warm run: no misses") 0 warm_misses;
+      check (pass ^ "warm run: no table phase") 0 warm_tables;
+      same_placement (pass ^ "warm replay = cold solve") cold warm;
+      checkb (pass ^ "warm window spans = cold window spans") true
+        (warm_spans = cold_spans))
+    [ false; true ]
 
 (* --- Dist_opt / Vm1_opt --- *)
 
