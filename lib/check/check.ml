@@ -186,8 +186,8 @@ let route_result (r : Route.Router.result) =
   if !via_bad > 0 then
     say "%d via-edge usage cells differ from the path replay" !via_bad;
   let scan = Route.Grid.overflow_count_scan g in
-  let ledger = Route.Grid.overflow_count g in
-  if ledger <> scan then say "overflow ledger %d != full scan %d" ledger scan;
+  let count = Route.Grid.overflow_count g in
+  if count <> scan then say "overflow count %d != full scan %d" count scan;
   let replayed = ref 0 in
   for n = 0 to size - 1 do
     if Route.Grid.has_wire_edge g n && wire_use.(n) > 1 then incr replayed;

@@ -44,8 +44,8 @@ val milp_solution : Vm1.Wproblem.t -> Milp.Bnb.solution -> string list
       equal the grid's usage arrays;
     - ownership: no committed wire edge on a blocked track or a track
       reserved for another net;
-    - overflow ledger: [Grid.overflow_count] must equal the full-scan
-      oracle and the replayed count;
+    - overflow count: the O(1) [Grid.overflow_count] must equal the
+      full-scan oracle and the replayed count;
     - failed-subnet accounting: the recount must equal
       [r.failed_subnets];
     - connectivity: for every fully-routed net, all pins lie in one

@@ -1,6 +1,7 @@
 (** Domain-pool scheduler: the execution substrate under every
     parallel loop of the flow (DistOpt window batches,
-    experiment-matrix cells, [vm1d] jobs). The router does not use it.
+    experiment-matrix cells, [vm1d] jobs). The router schedules nothing
+    on it; it only keeps its search context in a {!Dls} slot.
 
     - {b One pool per process, spawned once.} Workers are persistent
       domains; after warm-up no [Domain.spawn] happens mid-run (the
@@ -70,10 +71,10 @@ val submit : (unit -> 'a) -> 'a Future.t
 
 (** One lazily-initialised value per domain: the confinement tool for
     per-domain caches used from pool workers (e.g. the window
-    memo-cache of the batch service). [get] never shares a value
-    across domains, so slot contents need no locking — the same
-    domain-confinement argument as [Serve.Cache], extended to code
-    that runs on the pool. *)
+    memo-cache of the batch service, the router's search context).
+    [get] never shares a value across domains, so slot contents need no
+    locking — the same domain-confinement argument as [Serve.Cache],
+    extended to code that runs on the pool. *)
 module Dls : sig
   type 'a slot
 

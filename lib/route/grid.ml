@@ -12,10 +12,7 @@ type t = {
   pin_base : int array;
   mutable pin_access_off : int array;
   mutable pin_access_nodes : int array;
-  (* overflow ledger, maintained by commit/uncommit *)
-  wire_users : int list array;
-  via_users : int list array;
-  net_over : int array;
+  (* edges with usage > 1, kept by commit/uncommit *)
   mutable overflow_edges : int;
 }
 
@@ -326,9 +323,6 @@ let make_bare ~layers (p : Place.Placement.t) =
     pin_base;
     pin_access_off = [||];
     pin_access_nodes = [||];
-    wire_users = Array.make size [];
-    via_users = Array.make size [];
-    net_over = Array.make (max 1 (Netlist.Design.num_nets design)) 0;
     overflow_edges = 0;
   }
 
@@ -382,71 +376,35 @@ let of_placement ?(layers = num_layers) ?(pdn_stripes = true) ?skeleton
   build_pin_index g;
   g
 
-(* --- overflow ledger ------------------------------------------------ *)
+(* --- usage commitment ------------------------------------------------ *)
 
-(* Usage transitions keep three views in sync: per-edge user lists (who
-   occupies the edge), per-net counts of occurrences on overflowed edges
-   (so "does this net cross congestion" is O(1) during rip-up), and the
-   total of overflowed edges (so [overflow_count] never scans). *)
+(* Only the 1 <-> 2 usage transitions change the overflowed-edge total,
+   so [overflow_count] never scans. *)
 
-let remove_one net l =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | x :: tl -> if x = net then List.rev_append acc tl else go (x :: acc) tl
-  in
-  go [] l
-
-let commit_wire g ~net n =
+let commit_wire g n =
   let u = g.wire_usage.(n) + 1 in
   g.wire_usage.(n) <- u;
-  let others = g.wire_users.(n) in
-  g.wire_users.(n) <- net :: others;
-  if u = 2 then begin
-    g.overflow_edges <- g.overflow_edges + 1;
-    g.net_over.(net) <- g.net_over.(net) + 1;
-    List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) + 1) others
-  end
-  else if u > 2 then g.net_over.(net) <- g.net_over.(net) + 1
+  if u = 2 then g.overflow_edges <- g.overflow_edges + 1
 
-let uncommit_wire g ~net n =
+let uncommit_wire g n =
   let u = g.wire_usage.(n) in
   g.wire_usage.(n) <- u - 1;
-  g.wire_users.(n) <- remove_one net g.wire_users.(n);
-  if u = 2 then begin
-    g.overflow_edges <- g.overflow_edges - 1;
-    g.net_over.(net) <- g.net_over.(net) - 1;
-    List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) - 1) g.wire_users.(n)
-  end
-  else if u > 2 then g.net_over.(net) <- g.net_over.(net) - 1
+  if u = 2 then g.overflow_edges <- g.overflow_edges - 1
 
-let commit_via g ~net n =
+let commit_via g n =
   let u = g.via_usage.(n) + 1 in
   g.via_usage.(n) <- u;
-  let others = g.via_users.(n) in
-  g.via_users.(n) <- net :: others;
-  if u = 2 then begin
-    g.overflow_edges <- g.overflow_edges + 1;
-    g.net_over.(net) <- g.net_over.(net) + 1;
-    List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) + 1) others
-  end
-  else if u > 2 then g.net_over.(net) <- g.net_over.(net) + 1
+  if u = 2 then g.overflow_edges <- g.overflow_edges + 1
 
-let uncommit_via g ~net n =
+let uncommit_via g n =
   let u = g.via_usage.(n) in
   g.via_usage.(n) <- u - 1;
-  g.via_users.(n) <- remove_one net g.via_users.(n);
-  if u = 2 then begin
-    g.overflow_edges <- g.overflow_edges - 1;
-    g.net_over.(net) <- g.net_over.(net) - 1;
-    List.iter (fun x -> g.net_over.(x) <- g.net_over.(x) - 1) g.via_users.(n)
-  end
-  else if u > 2 then g.net_over.(net) <- g.net_over.(net) - 1
+  if u = 2 then g.overflow_edges <- g.overflow_edges - 1
 
-let net_overflow g net = g.net_over.(net)
 let overflow_count g = g.overflow_edges
 
 (* Reference implementation of [overflow_count], scanning every edge;
-   kept as the oracle the ledger is tested against. *)
+   kept as the oracle the O(1) count is tested against. *)
 let overflow_count_scan g =
   let count = ref 0 in
   let size = node_count g in
@@ -459,7 +417,4 @@ let overflow_count_scan g =
 let clear_usage g =
   Array.fill g.wire_usage 0 (Array.length g.wire_usage) 0;
   Array.fill g.via_usage 0 (Array.length g.via_usage) 0;
-  Array.fill g.wire_users 0 (Array.length g.wire_users) [];
-  Array.fill g.via_users 0 (Array.length g.via_users) [];
-  Array.fill g.net_over 0 (Array.length g.net_over) 0;
   g.overflow_edges <- 0

@@ -31,14 +31,8 @@ type t = {
   mutable pin_access_nodes : int array;
       (** access nodes of flat pin [p]: entries
           [pin_access_off.(p) .. pin_access_off.(p+1) - 1] *)
-  wire_users : int list array;
-      (** nets currently committed on the wire edge, one entry per
-          committed occurrence (ledger) *)
-  via_users : int list array;  (** same for via edges *)
-  net_over : int array;
-      (** per net: committed occurrences on overflowed edges (ledger) *)
   mutable overflow_edges : int;
-      (** total edges with usage > 1 (ledger) *)
+      (** total edges with usage > 1, kept by the commit functions *)
 }
 
 (** wire_owner value: unreserved. *)
@@ -158,32 +152,27 @@ val pin_access_iter : t -> Netlist.Design.pin_ref -> (int -> unit) -> unit
     oracle for property tests of the index. *)
 val pin_access_scan : t -> Netlist.Design.pin_ref -> int list
 
-(** {2 Usage commitment and the overflow ledger}
+(** {2 Usage commitment}
 
     All routed usage must flow through these four functions: besides the
-    usage counters they maintain the overflow ledger (per-edge user
-    lists, per-net overflow-occurrence counts, and the total overflowed
-    edge count), which is what makes [overflow_count] O(1) and lets
-    rip-up identify congested nets without rescanning every path.
-    [net] is the committing net id (>= 0). *)
+    usage counters they keep the total of overflowed edges (usage > 1),
+    which is what makes [overflow_count] O(1). They allocate nothing and
+    record no edge's users: the router finds the nets on overflowed
+    edges by scanning their own stored paths. *)
 
-val commit_wire : t -> net:int -> int -> unit
-val commit_via : t -> net:int -> int -> unit
-val uncommit_wire : t -> net:int -> int -> unit
-val uncommit_via : t -> net:int -> int -> unit
-
-(** [net_overflow g net] is the number of [net]'s committed edge
-    occurrences currently lying on overflowed edges; positive exactly
-    when the net crosses congestion. O(1). *)
-val net_overflow : t -> int -> int
+val commit_wire : t -> int -> unit
+val commit_via : t -> int -> unit
+val uncommit_wire : t -> int -> unit
+val uncommit_via : t -> int -> unit
 
 (** [overflow_count g] is the number of wire and via edges whose usage
-    exceeds capacity 1 — the DRV proxy. O(1), read from the ledger. *)
+    exceeds capacity 1 — the DRV proxy. O(1). *)
 val overflow_count : t -> int
 
 (** Reference implementation of [overflow_count], scanning every edge;
-    kept as the test oracle for the ledger. *)
+    kept as the test oracle for the O(1) count. *)
 val overflow_count_scan : t -> int
 
-(** [clear_usage g] zeroes all usage counters and the ledger. *)
+(** [clear_usage g] zeroes all usage counters and the overflowed-edge
+    total. *)
 val clear_usage : t -> unit

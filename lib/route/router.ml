@@ -36,6 +36,7 @@ let c_failed_subnets = Obs.counter "route.failed_subnets"
 let c_shard_nets = Obs.counter "route.shard_nets"
 let c_deferred_nets = Obs.counter "route.deferred_nets"
 let c_bq_pushes = Obs.counter "route.bq_pushes"
+let c_scratch_allocs = Obs.counter "route.scratch_allocs"
 let g_overflow = Obs.gauge "route.overflow_edges"
 
 (* Allocation-pressure gauge over the whole route span, normalized per
@@ -75,25 +76,38 @@ type result = {
 
 (* --- search context with generation-stamped per-node state --- *)
 
-(* Per-node A* state is one interleaved record of four ints, so a relax
-   reads and writes one cache line instead of four arrays. *)
+(* Per-node A* state is one interleaved record of three ints, so a relax
+   reads and writes one record instead of three arrays. *)
 let rec_dist = 0
 let rec_gen = 1
 let rec_parent = 2
-let rec_f = 3  (* f = dist + h at the node's latest push; lets the
-                  pop-acceptance test skip recomputing the heuristic *)
+let rec_words = 3
+
+(* Search scratch, one per domain and reused by every route there, so a
+   route does not fault grid-sized arrays in afresh. Stale contents need
+   no clearing: a record or target mark counts only when its stamp equals
+   a generation the current search drew, and [generation] lives here, so
+   it only rises across routes, finished or raised. [route] never awaits
+   pool work, so a domain never runs two routes on it at once. *)
+type scratch = {
+  mutable node : int array;   (* [rec_words * n + rec_*]: node [n]'s record *)
+  mutable tgen : int array;   (* target marks, one per M1 node [j * nx + i]:
+                                 pin access nodes are all on M1 *)
+  mutable tree : Stampset.t;  (* the current net's already-connected nodes *)
+  bq : Bqueue.t;              (* A* open list: dial bucket queue *)
+  mutable generation : int;
+}
+
+let scratch_slot =
+  Exec.Dls.create (fun () ->
+      { node = [||]; tgen = [||]; tree = Stampset.create 0;
+        bq = Bqueue.create ~capacity:4096 (); generation = 0 })
 
 type ctx = {
   g : Grid.t;
   cfg : config;
   mutable penalty : int;  (** congestion penalty, escalated per RRR pass *)
-  node : int array;       (* [4n + rec_*]: node [n]'s search record *)
-  tgen : int array;       (* generation-stamped target marks, one per M1
-                             node: pin access nodes are all on M1, whose
-                             node index is [j * nx + i] *)
-  bq : Bqueue.t;          (* A* open list: dial bucket queue *)
-  tree : Stampset.t;      (* the current net's already-connected nodes *)
-  mutable generation : int;
+  sc : scratch;
   (* per-search scratch lives in the context, not in refs, so [run]
      allocates nothing: a ref is a one-word heap block per search *)
   mutable s_hmin : int;   (* min heuristic over the seed set *)
@@ -111,22 +125,29 @@ let pack l i j = (l lsl (2 * coord_bits)) lor (j lsl coord_bits) lor i
 let make_ctx g cfg =
   if g.Grid.nx > coord_mask || g.Grid.ny > coord_mask then
     invalid_arg "Router: grid too large for packed open-list entries";
-  let n = Grid.node_count g in
+  (* grow the domain's scratch to cover [g] *)
+  let sc = Exec.Dls.get scratch_slot in
+  let n = Grid.node_count g and m1 = g.Grid.nx * g.Grid.ny in
+  let grow_nodes = rec_words * n > Array.length sc.node
+  and grow_m1 = m1 > Array.length sc.tgen in
+  if grow_nodes then begin
+    sc.node <- Array.make (rec_words * n) 0;
+    sc.tree <- Stampset.create n
+  end;
+  if grow_m1 then sc.tgen <- Array.make m1 0;
+  if grow_nodes || grow_m1 then Obs.Counter.incr c_scratch_allocs;
   {
     g;
     cfg;
     penalty = cfg.overflow_penalty;
-    node = Array.make (4 * n) 0;
-    tgen = Array.make (g.Grid.nx * g.Grid.ny) 0;
-    bq = Bqueue.create ~capacity:4096 ();
-    tree = Stampset.create n;
-    generation = 0;
+    sc;
     s_hmin = max_int;
     s_found = -1;
     s_bound = max_int;
   }
 
-let is_target ctx ~tg n = n < Array.length ctx.tgen && ctx.tgen.(n) = tg
+let is_target ctx ~tg n =
+  n < ctx.g.Grid.nx * ctx.g.Grid.ny && ctx.sc.tgen.(n) = tg
 
 (* When dM1 is disabled, forbid M1 wire edges that cross a placement-row
    boundary, confining M1 to intra-row jogs. [j] is the edge node's
@@ -202,7 +223,8 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
   let ci0, ci1, cj0, cj1 =
     match clamp with None -> (0, max_int, 0, max_int) | Some c -> c
   in
-  let node = ctx.node in
+  let sc = ctx.sc in
+  let node = sc.node and tgen = sc.tgen and bq = sc.bq in
   let[@vm1.hot] run margin =
     let ilo = int_max (int_max 0 (imin - margin)) ci0
     and ihi = int_min (int_min (g.Grid.nx - 1) (imax + margin)) ci1 in
@@ -219,9 +241,9 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
       (dx + dy) * hnum / 100
     in
     let h n = h2 (n mod nx) (n / nx mod ny) in
-    Bqueue.clear ctx.bq;
-    ctx.generation <- ctx.generation + 1;
-    let gen2 = ctx.generation in
+    Bqueue.clear bq;
+    sc.generation <- sc.generation + 1;
+    let gen2 = sc.generation in
     (* Latch the dial origin at a provable floor on every f-value this
        search can push. Seeds carry f = h(n); along any path the
        inflated heuristic drops by at most [weight/100] of the real cost
@@ -234,47 +256,44 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
       let v = h n in
       if v < ctx.s_hmin then ctx.s_hmin <- v
     in
-    Stampset.iter ctx.tree scan_h;
+    Stampset.iter sc.tree scan_h;
     Grid.pin_access_iter g src scan_h;
     if ctx.s_hmin < max_int then
-      Bqueue.prepare ctx.bq
+      Bqueue.prepare bq
         ~origin:((ctx.s_hmin * 100 / ctx.cfg.astar_weight_pct) - 64);
     ctx.s_bound <- max_int;
     (* [n] is the neighbour at layer [l], track column [vi], track row
        [vj], reached from the popped node [from] at distance [du] *)
     let relax ~from ~du n l vi vj cost =
       let nd = du + cost in
-      let k = 4 * n in
+      let k = rec_words * n in
       if node.(k + rec_gen) <> gen2 || node.(k + rec_dist) > nd then begin
         let f = nd + h2 vi vj in
         if f < ctx.s_bound then begin
           node.(k + rec_dist) <- nd;
           node.(k + rec_gen) <- gen2;
           node.(k + rec_parent) <- from;
-          node.(k + rec_f) <- f;
-          if l = 1 && ctx.tgen.(n) = tg then ctx.s_bound <- f;
-          Bqueue.push ctx.bq ~prio:f ~value:(pack l vi vj)
+          if l = 1 && tgen.(n) = tg then ctx.s_bound <- f;
+          Bqueue.push bq ~prio:f ~value:(pack l vi vj)
         end
       end
     in
     let seed n =
-      let k = 4 * n in
+      let k = rec_words * n in
       if node.(k + rec_gen) <> gen2 then begin
         let i = n mod nx and j = n / nx mod ny in
-        let f = h2 i j in
         node.(k + rec_dist) <- 0;
         node.(k + rec_gen) <- gen2;
         node.(k + rec_parent) <- -1;
-        node.(k + rec_f) <- f;
-        Bqueue.push ctx.bq ~prio:f ~value:(pack ((n / nxy) + 1) i j)
+        Bqueue.push bq ~prio:(h2 i j) ~value:(pack ((n / nxy) + 1) i j)
       end
     in
-    Stampset.iter ctx.tree seed;
+    Stampset.iter sc.tree seed;
     Grid.pin_access_iter g src seed;
     ctx.s_found <- -1;
-    while ctx.s_found < 0 && not (Bqueue.is_empty ctx.bq) do
-      let v = Bqueue.pop ctx.bq in
-      let d = Bqueue.last_prio ctx.bq in
+    while ctx.s_found < 0 && not (Bqueue.is_empty bq) do
+      let v = Bqueue.pop bq in
+      let d = Bqueue.last_prio bq in
       (* The entry carries [u]'s coordinates. Every neighbour differs
          from [u] by exactly one of them, so its coords — and the window
          test on them — come for free. [u] itself may lie outside the
@@ -284,12 +303,13 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
       let j = (v lsr coord_bits) land coord_mask in
       let l = v lsr (2 * coord_bits) in
       let u = ((((l - 1) * ny) + j) * nx) + i in
-      let k = 4 * u in
-      (* [d <= f] is the classic stale-entry test [d - h u <= dist u]
-         with both sides shifted by [h u], saving the heuristic
-         recompute on every pop. *)
-      if node.(k + rec_gen) = gen2 && d <= node.(k + rec_f) then begin
-        if l = 1 && ctx.tgen.(u) = tg then ctx.s_found <- u
+      let k = rec_words * u in
+      (* the classic stale-entry test [d - h u <= dist u], with [h u]
+         moved to the right: [h2] is fixed within a search, so
+         [dist + h2 i j] is exactly the f of [u]'s latest push *)
+      if node.(k + rec_gen) = gen2 && d <= node.(k + rec_dist) + h2 i j
+      then begin
+        if l = 1 && tgen.(u) = tg then ctx.s_found <- u
         else begin
           let du = node.(k + rec_dist) in
           if l land 1 = 1 then begin
@@ -346,7 +366,7 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
 let reconstruct ctx t =
   let g = ctx.g in
   let nxy = g.Grid.nx * g.Grid.ny in
-  let parent n = ctx.node.((4 * n) + rec_parent) in
+  let parent n = ctx.sc.node.((rec_words * n) + rec_parent) in
   let len = ref 0 in
   let u = ref t in
   while parent !u >= 0 do
@@ -369,21 +389,35 @@ let reconstruct ctx t =
   done;
   path
 
-let commit g ~net path =
+let commit g path =
   Array.iter
     (fun c ->
       let n = c lsr 1 in
-      if c land 1 = 1 then Grid.commit_via g ~net n
-      else Grid.commit_wire g ~net n)
+      if c land 1 = 1 then Grid.commit_via g n else Grid.commit_wire g n)
     path
 
-let uncommit g ~net path =
+let uncommit g path =
   Array.iter
     (fun c ->
       let n = c lsr 1 in
-      if c land 1 = 1 then Grid.uncommit_via g ~net n
-      else Grid.uncommit_wire g ~net n)
+      if c land 1 = 1 then Grid.uncommit_via g n else Grid.uncommit_wire g n)
     path
+
+(* [nr]'s committed edge occurrences on overflowed edges (usage > 1),
+   counted over its stored paths: positive exactly when the net crosses
+   congestion. *)
+let net_overflow g nr =
+  Array.fold_left
+    (fun acc sn ->
+      Array.fold_left
+        (fun a c ->
+          let n = c lsr 1 in
+          let u =
+            if c land 1 = 1 then g.Grid.via_usage.(n) else g.Grid.wire_usage.(n)
+          in
+          if u > 1 then a + 1 else a)
+        acc sn.path)
+    0 nr.subnets
 
 (* Grow the net's tree with the nodes the committed path touches. *)
 let add_path_to_tree ctx path =
@@ -391,8 +425,8 @@ let add_path_to_tree ctx path =
   Array.iter
     (fun c ->
       let n = c lsr 1 in
-      Stampset.add ctx.tree n;
-      Stampset.add ctx.tree
+      Stampset.add ctx.sc.tree n;
+      Stampset.add ctx.sc.tree
         (if c land 1 = 1 then Grid.via_dest g n else Grid.wire_dest g n))
     path
 
@@ -444,8 +478,9 @@ let route_subnet ?clamp ctx ~net subnet =
   let g = ctx.g in
   (* stamp the target pin's access nodes with a fresh generation and
      collect the target bounding box *)
-  ctx.generation <- ctx.generation + 1;
-  let tg = ctx.generation in
+  let sc = ctx.sc in
+  sc.generation <- sc.generation + 1;
+  let tg = sc.generation in
   let ti_min = ref max_int and ti_max = ref min_int in
   let tj_min = ref max_int and tj_max = ref min_int in
   Grid.pin_access_iter g subnet.dst (fun n ->
@@ -454,17 +489,17 @@ let route_subnet ?clamp ctx ~net subnet =
       if i > !ti_max then ti_max := i;
       if j < !tj_min then tj_min := j;
       if j > !tj_max then tj_max := j;
-      ctx.tgen.(n) <- tg);
+      sc.tgen.(n) <- tg);
   (* trivial case: a source IS a target *)
   let direct = ref false in
-  Stampset.iter ctx.tree (fun n -> if is_target ctx ~tg n then direct := true);
+  Stampset.iter sc.tree (fun n -> if is_target ctx ~tg n then direct := true);
   if not !direct then
     Grid.pin_access_iter g subnet.src (fun n ->
         if is_target ctx ~tg n then direct := true);
   if !direct then begin
     subnet.path <- [||];
     subnet.routed <- true;
-    Grid.pin_access_iter g subnet.dst (Stampset.add ctx.tree);
+    Grid.pin_access_iter g subnet.dst (Stampset.add sc.tree);
     true
   end
   else begin
@@ -478,7 +513,7 @@ let route_subnet ?clamp ctx ~net subnet =
       if j < !jmin then jmin := j;
       if j > !jmax then jmax := j
     in
-    Stampset.iter ctx.tree widen;
+    Stampset.iter sc.tree widen;
     Grid.pin_access_iter g subnet.src widen;
     match
       search ?clamp ctx ~net ~tg ~src:subnet.src
@@ -487,10 +522,10 @@ let route_subnet ?clamp ctx ~net subnet =
     with
     | Some t ->
       let path = reconstruct ctx t in
-      commit g ~net path;
+      commit g path;
       subnet.path <- path;
       subnet.routed <- true;
-      Grid.pin_access_iter g subnet.dst (Stampset.add ctx.tree);
+      Grid.pin_access_iter g subnet.dst (Stampset.add sc.tree);
       add_path_to_tree ctx path;
       true
     | None ->
@@ -531,7 +566,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
   (* Sequential semantics: attempt every subnet even after a failure (the
      rip-up passes may still fix the rest of the tree). *)
   let route_net_full ctx (nr : net_route) =
-    Stampset.clear ctx.tree;
+    Stampset.clear ctx.sc.tree;
     Array.iter
       (fun sn ->
         Obs.Counter.incr c_subnet_attempts;
@@ -543,7 +578,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
      it deferred, so the second phase retries it with full window
      escalation against the grid state the tiles left. *)
   let route_net_clamped ~clamp ctx (nr : net_route) =
-    Stampset.clear ctx.tree;
+    Stampset.clear ctx.sc.tree;
     let ok = ref true in
     Array.iter
       (fun sn ->
@@ -556,7 +591,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
       Array.iter
         (fun sn ->
           if sn.routed then begin
-            uncommit g ~net:nr.net_id sn.path;
+            uncommit g sn.path;
             sn.path <- [||];
             sn.routed <- false
           end)
@@ -618,6 +653,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
   in
   let n_local = Array.fold_left (fun a (_, ns) -> a + Array.length ns) 0 tile_jobs in
   let ctx = make_ctx g config in
+  let pushes0 = Bqueue.pushes ctx.sc.bq in
   Obs.with_span "route.initial"
     ~attrs:[ ("tiles", `Int (Array.length tile_jobs)); ("local_nets", `Int n_local) ]
     (fun () ->
@@ -643,30 +679,31 @@ let route ?(config = default_config) (p : Place.Placement.t) =
     Obs.add_attr "sequential_nets" (`Int (List.length seq));
     List.iter (fun k -> route_net_full ctx routes.(k)) seq);
   (* Rip-up and reroute nets crossing overflowed edges, with the
-     congestion penalty escalating each pass. The overflow ledger makes
-     the congestion test per net O(1) ([Grid.net_overflow]), so a pass
-     over an uncongested design is a counter sweep, not a rescan of
-     every path of every net; a pass with no candidates is skipped
-     outright. *)
+     congestion penalty escalating each pass. A net's congestion test
+     scans its own stored paths, at the moment the loop reaches it, so
+     nets ripped earlier in the pass are seen as they now stand. A pass
+     with no overflowed edge ([Grid.overflow_count], O(1)) scans
+     nothing. *)
   for pass = 1 to config.ripup_passes do
     Obs.with_span "route.ripup" ~attrs:[ ("pass", `Int pass) ] (fun () ->
     ctx.penalty <- config.overflow_penalty * (pass + 1);
     let candidates = ref 0 in
-    Array.iter
-      (fun nr -> if Grid.net_overflow g nr.net_id > 0 then incr candidates)
-      routes;
+    if Grid.overflow_count g > 0 then
+      Array.iter
+        (fun nr -> if net_overflow g nr > 0 then incr candidates)
+        routes;
     Obs.Counter.add c_ripup_candidates !candidates;
     Obs.add_attr "candidates" (`Int !candidates);
     let ripped = ref 0 in
     if !candidates > 0 then
       Array.iter
         (fun nr ->
-          if Grid.net_overflow g nr.net_id > 0 then begin
+          if net_overflow g nr > 0 then begin
             incr ripped;
             Array.iter
               (fun sn ->
                 if sn.routed then begin
-                  uncommit g ~net:nr.net_id sn.path;
+                  uncommit g sn.path;
                   sn.path <- [||];
                   sn.routed <- false
                 end)
@@ -687,7 +724,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
       0 routes
   in
   Obs.Counter.add c_failed_subnets failed_final;
-  Obs.Counter.add c_bq_pushes (Bqueue.pushes ctx.bq);
+  Obs.Counter.add c_bq_pushes (Bqueue.pushes ctx.sc.bq - pushes0);
   let overflow = Grid.overflow_count g in
   Obs.Gauge.set g_overflow (float_of_int overflow);
   if Obs.enabled () && total_subnets > 0 then
@@ -725,30 +762,25 @@ let route ?(config = default_config) (p : Place.Placement.t) =
       String.concat " "
         (List.map (fun (nid, c) -> Printf.sprintf "%d:%d" nid c) l)
     in
-    let over_nets = ref [] in
-    for nid = Array.length design.nets - 1 downto 0 do
-      let c = Grid.net_overflow g nid in
-      if c > 0 then over_nets := (nid, c) :: !over_nets
-    done;
-    let failed_nets = ref [] in
+    let over_nets = ref [] and failed_nets = ref [] in
     Array.iter
       (fun nr ->
-        let c =
+        let c = net_overflow g nr in
+        if c > 0 then over_nets := (nr.net_id, c) :: !over_nets;
+        let f =
           Array.fold_left
             (fun a sn -> if sn.routed then a else a + 1)
             0 nr.subnets
         in
-        if c > 0 then failed_nets := (nr.net_id, c) :: !failed_nets)
+        if f > 0 then failed_nets := (nr.net_id, f) :: !failed_nets)
       routes;
-    let failed_nets =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) !failed_nets
-    in
+    let by_net = List.sort (fun (a, _) (b, _) -> Int.compare a b) in
     Obs.add_attr "heat_tiles_x" (`Int tiles_x);
     Obs.add_attr "heat_tiles_y" (`Int tiles_y);
     Obs.add_attr "heat_tile_tracks" (`Int t);
     Obs.add_attr "pitch_dbu" (`Int g.Grid.pitch);
     Obs.add_attr "heat_overflow" (`Str (ints_to_str heat));
-    Obs.add_attr "overflow_nets" (`Str (pairs_to_str !over_nets));
-    Obs.add_attr "failed_nets" (`Str (pairs_to_str failed_nets))
+    Obs.add_attr "overflow_nets" (`Str (pairs_to_str (by_net !over_nets)));
+    Obs.add_attr "failed_nets" (`Str (pairs_to_str (by_net !failed_nets)))
   end;
   { grid = g; routes; config; failed_subnets = failed_final })

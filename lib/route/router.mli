@@ -76,6 +76,13 @@ type result = {
   mutable failed_subnets : int;  (** subnets with [routed = false] *)
 }
 
+(** [net_overflow g nr] is the number of [nr]'s committed edge
+    occurrences lying on overflowed edges (usage > 1) of [g], counted
+    over its stored paths: positive exactly when the net crosses
+    congestion. O(path length); rip-up asks it of each net as it
+    reaches the net. *)
+val net_overflow : Grid.t -> net_route -> int
+
 (** [route ?config placement] routes all signal nets of the placement.
 
     The initial pass is tiled: the grid is cut into fixed
@@ -90,28 +97,32 @@ type result = {
     Hot-path machinery: pin access nodes come from the index
     precomputed at [Grid.of_placement] time, the A* open list is the
     {!Bqueue} dial queue, the net's already-connected node set is a
-    generation-stamped {!Stampset}, and rip-up passes consult the
-    grid's overflow ledger ([Grid.net_overflow]) instead of rescanning
-    every stored path — a pass with no congested net is skipped in
-    O(nets). Each node's search state (distance, generation, parent,
-    f-value) is one interleaved four-int record, so a relax touches one
-    cache line; open-list entries carry the node's packed (layer, row,
-    column), so a pop decodes with shifts, not [mod] and [/]; and a
-    relax whose
-    f is at or above the smallest f at which a target is already
-    queued is skipped, which is exact because ties pop FIFO — every
-    route is byte-identical to the unpruned search.
+    generation-stamped {!Stampset}, and rip-up passes test each net with
+    {!net_overflow}, a scan of that net's own stored paths — a pass with
+    no overflowed edge ([Grid.overflow_count] = 0) scans nothing. Each
+    node's search state (distance, generation, parent) is one
+    interleaved three-int record, so a relax touches one record, not
+    three arrays;
+    open-list entries carry the node's packed (layer, row, column), so a
+    pop decodes with shifts, not [mod] and [/]; and a relax whose f is
+    at or above the smallest f at which a target is already queued is
+    skipped, which is exact because ties pop FIFO — every route is
+    byte-identical to the unpruned search.
 
-    One search context (the per-node records plus the open list, about
-    [40 * Grid.node_count] bytes) serves every phase of a route. It does
-    not outlive the call, so a long-running caller holds no grid-sized
-    scratch between routes.
+    The search context (node records, tree set, M1 target marks, open
+    list) is kept per domain, reused by every later route there and
+    grown only for a larger grid. A domain thus retains about
+    [4 + 1/layers] words per node of the largest grid it has routed,
+    plus the open list of its largest search. Its generation counter
+    only rises, so stamps left by an earlier route, finished or raised,
+    never match and reuse changes no routed edge.
 
     Emits observability when [Obs.enabled]: a [route] span with nested
     [route.initial] and per-pass [route.ripup] spans, the
     [route.subnets] / [route.subnet_attempts] / [route.ripup_nets] /
     [route.ripup_candidates] / [route.failed_subnets] /
     [route.shard_nets] / [route.deferred_nets] / [route.bq_pushes] /
-    [route.pin_access_hits] counters and the [route.overflow_edges]
-    gauge. *)
+    [route.pin_access_hits] / [route.scratch_allocs] (routes that had
+    to allocate or grow their domain's search context) counters and the
+    [route.overflow_edges] gauge. *)
 val route : ?config:config -> Place.Placement.t -> result

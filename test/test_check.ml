@@ -151,9 +151,9 @@ let test_route_tamper () =
   let r = Route.Router.route p in
   check_int "honest result verifies" 0 (List.length (Check.route_result r));
   let n = find_free_wire_edge r.grid in
-  Route.Grid.commit_wire r.grid ~net:0 n;
+  Route.Grid.commit_wire r.grid n;
   check_bool "phantom committed edge caught" true (Check.route_result r <> []);
-  Route.Grid.uncommit_wire r.grid ~net:0 n;
+  Route.Grid.uncommit_wire r.grid n;
   check_int "restored result verifies" 0 (List.length (Check.route_result r));
   r.failed_subnets <- r.failed_subnets + 1;
   check_bool "failed-subnet miscount caught" true (Check.route_result r <> []);

@@ -515,40 +515,53 @@ let test_openm1_routes () =
   check "no failures" 0 r.Route.Router.failed_subnets;
   checkb "openm1 has baseline dm1" true (s.Route.Metrics.dm1 > 0)
 
-(* the O(1) ledger count always matches the full-edge-scan oracle, and
-   per-net overflow flags agree with a scan over the stored paths —
-   including after rip-up under congestion *)
-let test_overflow_ledger () =
-  let p = placed_design ~n:150 ~utilization:0.85 closed_lib in
+(* the O(1) overflowed-edge count always matches the full-edge-scan
+   oracle, and the router's per-net overflow count matches an
+   independent replay that recounts every edge's usage from all stored
+   paths, never from the grid's arrays — after rip-up under
+   congestion *)
+let test_overflow_count () =
+  let p = placed_design ~n:400 ~utilization:0.85 closed_lib in
   let cfg = { Route.Router.default_config with layers = 3; ripup_passes = 1 } in
   let r = Route.Router.route ~config:cfg p in
   let g = r.Route.Router.grid in
-  check "ledger = scan" (Route.Grid.overflow_count_scan g)
+  check "O(1) count = scan" (Route.Grid.overflow_count_scan g)
     (Route.Grid.overflow_count g);
+  let iter_codes f =
+    Array.iter
+      (fun (nr : Route.Router.net_route) ->
+        Array.iter
+          (fun (sn : Route.Router.subnet) -> Array.iter (f nr) sn.path)
+          nr.subnets)
+      r.Route.Router.routes
+  in
+  (* packed codes are distinct per edge: wire and via edges differ in
+     the low bit *)
+  let usage = Hashtbl.create 4096 in
+  let used c = Option.value ~default:0 (Hashtbl.find_opt usage c) in
+  iter_codes (fun _ c -> Hashtbl.replace usage c (used c + 1));
+  let replayed = Hashtbl.create 64 in
+  iter_codes (fun nr c ->
+      if used c > 1 then begin
+        let id = nr.Route.Router.net_id in
+        let v = Option.value ~default:0 (Hashtbl.find_opt replayed id) in
+        Hashtbl.replace replayed id (v + 1)
+      end);
+  checkb "congested: some net crosses overflow" true (Hashtbl.length replayed > 0);
   Array.iter
     (fun (nr : Route.Router.net_route) ->
-      let on_overflow = ref false in
-      Array.iter
-        (fun (sn : Route.Router.subnet) ->
-          Array.iter
-            (fun c ->
-              match Route.Router.edge_of_code c with
-              | Route.Router.Wire n ->
-                if g.Route.Grid.wire_usage.(n) > 1 then on_overflow := true
-              | Route.Router.Via n ->
-                if g.Route.Grid.via_usage.(n) > 1 then on_overflow := true)
-            sn.Route.Router.path)
-        nr.Route.Router.subnets;
-      checkb "net_overflow agrees with path scan" !on_overflow
-        (Route.Grid.net_overflow g nr.Route.Router.net_id > 0))
+      check "net_overflow = replay"
+        (Option.value ~default:0 (Hashtbl.find_opt replayed nr.net_id))
+        (Route.Router.net_overflow g nr))
     r.Route.Router.routes
 
 (* [route.bq_pushes] counts each route's pushes once: two back-to-back
-   routes add identical increments (no context or count carries over
-   between routes), and the increment does not depend on [--jobs]. The
-   router runs on the calling domain, so a route at [--jobs 4] starts no
-   pool task. A small search margin and tile let several tiles route
-   nets in the tiled initial pass. *)
+   routes add identical increments (the open list is reused across
+   routes, so its push total must be read as a per-route delta), and the
+   increment does not depend on [--jobs]. The router runs on the calling
+   domain, so a route at [--jobs 4] starts no pool task. A small search
+   margin and tile let several tiles route nets in the tiled initial
+   pass. *)
 let test_bq_pushes_per_route () =
   let p = placed_design ~n:400 ~utilization:0.85 closed_lib in
   let config =
@@ -627,17 +640,61 @@ let route_golden_cases =
      "9fa053af1846e0a8ad2478211d94bca9", 0, 0);
   ]
 
-let test_route_bytes_golden (name, arch, layers, digest, failed, overflow) () =
+let golden_route (_, arch, layers, _, _, _) =
   let p =
     Report.Flow.prepare ~scale:16 ~utilization:0.75 Netlist.Designs.M0 arch
   in
-  let r =
-    Route.Router.route
-      ~config:{ Route.Router.default_config with layers } p
-  in
+  Route.Router.route ~config:{ Route.Router.default_config with layers } p
+
+let test_route_bytes_golden ((name, _, _, digest, failed, overflow) as case) () =
+  let r = golden_route case in
   check (name ^ " failed subnets") failed r.failed_subnets;
   check (name ^ " overflowed edges") overflow (Route.Grid.overflow_count r.grid);
   Alcotest.(check string) (name ^ " route bytes") digest (route_bytes_digest r)
+
+(* Each domain keeps one search context and reuses it across routes,
+   growing it only for a larger grid. Reuse must not move a routed edge:
+   a golden case routed after a larger grid on the same domain, and
+   golden cases routed as pool tasks at [--jobs 4], keep their digests,
+   and the repeat on the same domain allocates no scratch. *)
+let test_scratch_reuse_invisible () =
+  let small = List.nth route_golden_cases 0
+  and large = List.nth route_golden_cases 2 in
+  let digest_of (name, _, _, d, _, _) = (name, d) in
+  let allocs = Obs.counter "route.scratch_allocs" in
+  let was = Obs.enabled () and jobs = Exec.jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled was;
+      Exec.set_jobs jobs)
+    (fun () ->
+      Obs.set_enabled true;
+      Exec.set_jobs 1;
+      let name, d = digest_of small in
+      let r_small = golden_route small in
+      Alcotest.(check string) (name ^ " first") d (route_bytes_digest r_small);
+      let r_large = golden_route large in
+      checkb "second grid is larger" true
+        (Route.Grid.node_count r_large.grid
+        > Route.Grid.node_count r_small.grid);
+      let a0 = Obs.Counter.value allocs in
+      let r = golden_route small in
+      check "repeat allocates no scratch" 0 (Obs.Counter.value allocs - a0);
+      Alcotest.(check string) (name ^ " after a larger grid") d
+        (route_bytes_digest r);
+      Exec.set_jobs 4;
+      let cases = [ small; large; small; small ] in
+      let futs =
+        List.map
+          (fun c -> Exec.submit (fun () -> route_bytes_digest (golden_route c)))
+          cases
+      in
+      List.iter2
+        (fun c fut ->
+          let name, d = digest_of c in
+          Alcotest.(check string) (name ^ " as a pool task") d
+            (Exec.Future.await fut))
+        cases futs)
 
 let () =
   Alcotest.run "route"
@@ -676,7 +733,7 @@ let () =
           Alcotest.test_case "use_dm1 ablation" `Quick test_use_dm1_ablation;
           Alcotest.test_case "deterministic" `Quick test_router_deterministic;
           Alcotest.test_case "openm1 routes" `Quick test_openm1_routes;
-          Alcotest.test_case "overflow ledger" `Quick test_overflow_ledger;
+          Alcotest.test_case "overflow count" `Quick test_overflow_count;
           Alcotest.test_case "bq_pushes per route" `Quick
             test_bq_pushes_per_route;
         ] );
@@ -684,7 +741,11 @@ let () =
         List.map
           (fun ((name, _, _, _, _, _) as case) ->
             Alcotest.test_case name `Quick (test_route_bytes_golden case))
-          route_golden_cases );
+          route_golden_cases
+        @ [
+            Alcotest.test_case "reuse is invisible" `Quick
+              test_scratch_reuse_invisible;
+          ] );
       ( "metrics",
         [
           Alcotest.test_case "consistency" `Quick test_metrics_consistency;
