@@ -34,24 +34,15 @@ let max_in_flight =
                2 * jobs." ~docv:"N")
 
 let solver_conv =
-  let parse s =
-    match Vm1.Scp_solver.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown solver %S (greedy|exact|anneal|auto|portfolio)"
-             s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Vm1.Scp_solver.mode_to_string m)
-  in
-  Arg.conv (parse, print)
+  Arg.enum
+    (List.map
+       (fun m -> (Vm1.Scp_solver.mode_to_string m, m))
+       Vm1.Scp_solver.modes)
 
 let solver =
   Arg.(value & opt (some solver_conv) None & info [ "solver" ]
          ~doc:"Default window solver for requests that omit the \"solver\" \
-               field: greedy, exact, anneal, auto, or portfolio. A \
+               field: greedy, anneal, or portfolio. A \
                request's own field always wins." ~docv:"MODE")
 
 let trace =

@@ -46,25 +46,17 @@ let sequence =
          ~doc:"Optimisation sequence 1-5 (ExptA-3).")
 
 let solver_conv =
-  let parse s =
-    match Vm1.Scp_solver.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown solver %S (greedy|exact|anneal|auto|portfolio)"
-             s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Vm1.Scp_solver.mode_to_string m)
-  in
-  Arg.conv (parse, print)
+  Arg.enum
+    (List.map
+       (fun m -> (Vm1.Scp_solver.mode_to_string m, m))
+       Vm1.Scp_solver.modes)
 
 let solver =
   Arg.(value & opt solver_conv `Greedy & info [ "solver" ]
-         ~doc:"Window solver: greedy, exact, anneal, auto, or portfolio \
-               (best of exact/greedy/anneal with a deterministic winner; \
-               byte-identical across --jobs).")
+         ~doc:"Window solver: greedy, anneal, or portfolio (best of \
+               exact/greedy/anneal with a deterministic winner, exact \
+               only on windows small enough for it; byte-identical \
+               across --jobs).")
 
 let dump_prefix =
   Arg.(value & opt (some string) None & info [ "dump" ]

@@ -62,7 +62,7 @@ let () =
 
   (* cross-check against exhaustive search on a fresh copy *)
   let prob2 = extract () in
-  let stats = Vm1.Scp_solver.solve ~mode:`Exact prob2 in
+  let stats = Vm1.Scp_solver.exact prob2 in
   Printf.printf "exhaustive optimum: %.0f (%s)\n"
     stats.Vm1.Scp_solver.objective_after
     (if abs_float (stats.Vm1.Scp_solver.objective_after -. milp_obj) < 0.5

@@ -62,6 +62,17 @@ let baseline ?router_config params p =
   let init, clock_ps, r = measure ?router_config params p in
   ({ init; clock_ps }, r)
 
+type master = {
+  placement : Place.Placement.t;
+  baseline : baseline;
+}
+
+let master ?router_config p =
+  let b, r =
+    baseline ?router_config (Vm1.Params.default p.Place.Placement.tech) p
+  in
+  ({ placement = p; baseline = b }, r)
+
 type comparison = {
   design_name : string;
   instances : int;

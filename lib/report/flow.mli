@@ -55,6 +55,22 @@ val baseline :
   ?router_config:Route.Router.config -> Vm1.Params.t -> Place.Placement.t ->
   baseline * Route.Router.result
 
+(** A prepared placement with its {!baseline}, shared by every params
+    set the matrix or [vm1d] runs on it. *)
+type master = {
+  placement : Place.Placement.t;  (** shared: copy before mutating *)
+  baseline : baseline;
+}
+
+(** [master ?router_config p] is [p] with its {!baseline} under
+    [Vm1.Params.default], and the route it measured. That baseline is
+    every params set's [init]: it reads the parameters only through
+    [Vm1.Objective.counts], which alpha, sequence and solver never
+    change. *)
+val master :
+  ?router_config:Route.Router.config -> Place.Placement.t ->
+  master * Route.Router.result
+
 type comparison = {
   design_name : string;
   instances : int;

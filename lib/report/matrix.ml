@@ -27,23 +27,26 @@ type report = {
   cells : cell list;
 }
 
-(* one grid point, before running *)
-type spec =
+(* one grid point, before running: where its placement comes from,
+   and the params set its cell runs *)
+type source =
   | Gen of {
-      s_id : string;
       name : Netlist.Designs.name;
       arch : Pdk.Cell_arch.t;
       util : float;
       scale : int;
-      prm : Io.Manifest.params option;
     }
   | Ext of {
-      s_id : string;
       def_path : string;
       lef_path : string option;
       arch : Pdk.Cell_arch.t;
-      prm : Io.Manifest.params option;
     }
+
+type spec = {
+  s_id : string;
+  source : source;
+  prm : Io.Manifest.params option;
+}
 
 let specs_of_manifest (m : Io.Manifest.t) =
   let prms =
@@ -51,6 +54,7 @@ let specs_of_manifest (m : Io.Manifest.t) =
     | [] -> [ None ]
     | ps -> List.map Option.some ps
   in
+  let cells s_id source = List.map (fun prm -> { s_id; source; prm }) prms in
   List.concat_map
     (fun (e : Io.Manifest.entry) ->
       match e.Io.Manifest.source with
@@ -61,31 +65,40 @@ let specs_of_manifest (m : Io.Manifest.t) =
               (fun util ->
                 List.concat_map
                   (fun scale ->
-                    List.map
-                      (fun prm ->
-                        Gen
-                          { s_id = e.Io.Manifest.e_id; name; arch; util; scale;
-                            prm })
-                      prms)
+                    cells e.Io.Manifest.e_id (Gen { name; arch; util; scale }))
                   m.Io.Manifest.scales)
               m.Io.Manifest.utils)
           m.Io.Manifest.archs
       | Io.Manifest.External { def_path; lef_path; arch } ->
-        List.map
-          (fun prm ->
-            Ext { s_id = e.Io.Manifest.e_id; def_path; lef_path; arch; prm })
-          prms)
+        cells e.Io.Manifest.e_id (Ext { def_path; lef_path; arch }))
     m.Io.Manifest.entries
 
 let no_params =
   { Io.Manifest.p_id = ""; alpha = None; sequence = None; router_layers = None;
     use_dm1 = None; row_dp = None; congestion_term = None }
 
-(* the manifest's params set with every omitted field at its default
-   for the design's technology *)
-let resolve (design : Netlist.Design.t) prm =
-  let defaults = Vm1.Params.default design.Netlist.Design.lib.Pdk.Libgen.tech in
+(* the switches of a params set that act before VM1Opt, at their
+   defaults when omitted: the row DP after global placement, the router
+   both routes use, and the congestion term (built from the baseline
+   route) *)
+let switches prm =
   let q = Option.value prm ~default:no_params in
+  let d = Route.Router.default_config in
+  ( Option.value q.Io.Manifest.row_dp ~default:true,
+    {
+      d with
+      Route.Router.layers =
+        Option.value q.Io.Manifest.router_layers ~default:d.Route.Router.layers;
+      use_dm1 = Option.value q.Io.Manifest.use_dm1 ~default:d.Route.Router.use_dm1;
+    },
+    Option.value q.Io.Manifest.congestion_term ~default:false )
+
+(* the manifest's params set with every omitted field at its default
+   for the technology *)
+let resolve tech prm =
+  let defaults = Vm1.Params.default tech in
+  let q = Option.value prm ~default:no_params in
+  let row_dp, router, congestion_term = switches prm in
   {
     p_id = q.Io.Manifest.p_id;
     alpha = Option.value q.Io.Manifest.alpha ~default:defaults.Vm1.Params.alpha;
@@ -97,121 +110,131 @@ let resolve (design : Netlist.Design.t) prm =
           (fun (s : Io.Manifest.step) ->
             { Vm1.Params.bw_um = s.Io.Manifest.bw_um; lx = s.lx; ly = s.ly })
           steps);
-    router_layers =
-      Option.value q.Io.Manifest.router_layers
-        ~default:Route.Router.default_config.Route.Router.layers;
-    use_dm1 =
-      Option.value q.Io.Manifest.use_dm1
-        ~default:Route.Router.default_config.Route.Router.use_dm1;
-    row_dp = Option.value q.Io.Manifest.row_dp ~default:true;
-    congestion_term = Option.value q.Io.Manifest.congestion_term ~default:false;
+    router_layers = router.Route.Router.layers;
+    use_dm1 = router.Route.Router.use_dm1;
+    row_dp;
+    congestion_term;
   }
 
-(* the flow with the cell's params; VM1Opt runs sequentially — the cell
-   grid is the unit of parallelism *)
-let run_pipeline q p =
-  let router_config =
-    {
-      Route.Router.default_config with
-      Route.Router.layers = q.router_layers;
-      use_dm1 = q.use_dm1;
-    }
+(* Phase 1: the master of a group of cells, and the congestion map of
+   its baseline route when [congested]; the route is dropped once the
+   map is built. *)
+let prepare ((s : spec), congested) =
+  let row_dp, router_config, _ = switches s.prm in
+  let placement =
+    match s.source with
+    | Gen { name; arch; util; scale } ->
+      Ok
+        (Flow.prepare_placement ~utilization:util ~detailed:row_dp
+           (Netlist.Designs.make ~scale name arch))
+    | Ext { def_path; lef_path; arch } ->
+      let lib =
+        match lef_path with
+        | Some path ->
+          (match Io.Lef.parse_file path with
+          | Ok lib -> Ok lib
+          | Error e ->
+            Error (Printf.sprintf "%s: %s" path (Io.Lex.error_to_string e)))
+        | None -> Ok (Pdk.Libgen.generate (Pdk.Tech.default arch))
+      in
+      Result.bind lib (fun lib ->
+          match Io.Def.read_file lib def_path with
+          | Error msg -> Error (Printf.sprintf "%s: %s" def_path msg)
+          | Ok (design, def) -> Ok (Place.Placement.of_def design def))
   in
+  Result.map
+    (fun p ->
+      let m, route = Flow.master ~router_config p in
+      (m, if congested then Some (Flow.congestion_cost route) else None))
+    placement
+
+(* Phase 2: one cell, VM1Opt and the re-route on a copy of its group's
+   master *)
+let run_cell masters ((s : spec), g) =
+  let m, cost = masters.(g) in
+  let p = Place.Placement.copy m.Flow.placement in
+  let q = resolve p.Place.Placement.tech s.prm in
+  let _, router_config, _ = switches s.prm in
   let params =
     { (Vm1.Params.default p.Place.Placement.tech) with Vm1.Params.alpha = q.alpha }
   in
-  let base, route = Flow.baseline ~router_config params p in
   let config =
     {
       Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.parallel = false;
       sequence = q.sequence;
-      candidate_cost =
-        (if q.congestion_term then Some (Flow.congestion_cost route) else None);
+      candidate_cost = (if q.congestion_term then cost else None);
     }
   in
-  Flow.optimise ~router_config ~config params base p
-
-(* the cell's id and its reported params: none when the manifest has no
-   params axis *)
-let label id prm q =
-  match prm with
-  | Some _ -> (id ^ "/" ^ q.p_id, Some q)
-  | None -> (id, None)
-
-let run_cell = function
-  | Gen { s_id; name; arch; util; scale; prm } ->
-    let design = Netlist.Designs.make ~scale name arch in
-    let q = resolve design prm in
-    let p = Flow.prepare_placement ~utilization:util ~detailed:q.row_dp design in
-    let c = run_pipeline q p in
-    let cell_id, params =
-      label
-        (Printf.sprintf "%s/%s/u%.2f/s%d" s_id (Pdk.Cell_arch.to_string arch)
-           util scale)
-        prm q
-    in
-    Ok
-      {
-        cell_id;
-        design_name = Netlist.Designs.to_string name;
-        arch;
-        util = Some util;
-        scale = Some scale;
-        params;
-        instances = c.Flow.instances;
-        init = c.Flow.init;
-        final = c.Flow.final;
-        opt_runtime_s = c.Flow.opt_runtime_s;
-      }
-  | Ext { s_id; def_path; lef_path; arch; prm } ->
-    let lib =
-      match lef_path with
-      | Some path ->
-        (match Io.Lef.parse_file path with
-        | Ok lib -> Ok lib
-        | Error e ->
-          Error (Printf.sprintf "%s: %s" path (Io.Lex.error_to_string e)))
-      | None -> Ok (Pdk.Libgen.generate (Pdk.Tech.default arch))
-    in
-    Result.bind lib (fun lib ->
-        match Io.Def.read_file lib def_path with
-        | Error msg -> Error (Printf.sprintf "%s: %s" def_path msg)
-        | Ok (design, def) ->
-          let q = resolve design prm in
-          let c = run_pipeline q (Place.Placement.of_def design def) in
-          let cell_id, params = label (s_id ^ "/ext") prm q in
-          Ok
-            {
-              cell_id;
-              design_name = design.Netlist.Design.name;
-              arch = lib.Pdk.Libgen.tech.Pdk.Tech.arch;
-              util = None;
-              scale = None;
-              params;
-              instances = c.Flow.instances;
-              init = c.Flow.init;
-              final = c.Flow.final;
-              opt_runtime_s = c.Flow.opt_runtime_s;
-            })
+  let c = Flow.optimise ~router_config ~config params m.Flow.baseline p in
+  let id, util, scale =
+    match s.source with
+    | Gen { arch; util; scale; _ } ->
+      ( Printf.sprintf "%s/%s/u%.2f/s%d" s.s_id (Pdk.Cell_arch.to_string arch)
+          util scale,
+        Some util,
+        Some scale )
+    | Ext _ -> (s.s_id ^ "/ext", None, None)
+  in
+  {
+    (* a manifest without params reports none and keeps the bare id *)
+    cell_id = (if Option.is_some s.prm then id ^ "/" ^ q.p_id else id);
+    design_name = p.Place.Placement.design.Netlist.Design.name;
+    arch = p.Place.Placement.tech.Pdk.Tech.arch;
+    util;
+    scale;
+    params = Option.map (fun _ -> q) s.prm;
+    instances = c.Flow.instances;
+    init = c.Flow.init;
+    final = c.Flow.final;
+    opt_runtime_s = c.Flow.opt_runtime_s;
+  }
 
 let run (m : Io.Manifest.t) =
   match Io.Manifest.digest m with
   | exception Sys_error msg -> Error msg
-  | manifest_digest ->
+  | manifest_digest -> (
     let specs = Array.of_list (specs_of_manifest m) in
-    let results = Exec.parallel_map ~chunk:1 run_cell specs in
-    let rec collect acc i =
-      if i >= Array.length results then Ok (List.rev acc)
-      else
-        match results.(i) with
-        | Ok c -> collect (c :: acc) (i + 1)
-        | Error msg -> Error msg
+    (* Cells share a master when they share a placement source and the
+       row-DP and router switches (a manifest with a DEF entry cannot set
+       row_dp). The congestion term only reads the baseline route, so it
+       splits no group. Groups are numbered in order of their first
+       cell. *)
+    let key s =
+      let row_dp, r, _ = switches s.prm in
+      (s.source, row_dp, r.Route.Router.layers, r.Route.Router.use_dm1)
     in
-    Result.map
-      (fun cells ->
-        { manifest_name = m.Io.Manifest.m_name; manifest_digest; cells })
-      (collect [] 0)
+    let index = Hashtbl.create 16 in
+    let cells =
+      Array.map
+        (fun s ->
+          let k = key s in
+          if not (Hashtbl.mem index k) then
+            Hashtbl.replace index k (Hashtbl.length index);
+          (s, Hashtbl.find index k))
+        specs
+    in
+    let groups =
+      Array.init (Hashtbl.length index) (fun g ->
+          match List.filter (fun (_, h) -> h = g) (Array.to_list cells) with
+          | (first, _) :: _ as mine ->
+            let congested (s, _) =
+              let _, _, c = switches s.prm in
+              c
+            in
+            (first, List.exists congested mine)
+          | [] -> assert false (* a group exists through its cells *))
+    in
+    let prepared = Exec.parallel_map ~chunk:1 prepare groups in
+    (* the first failing group is the first failing cell's *)
+    match Array.find_map (function Error e -> Some e | Ok _ -> None) prepared with
+    | Some msg -> Error msg
+    | None ->
+      let masters = Array.map Result.get_ok prepared in
+      let cells = Exec.parallel_map ~chunk:1 (run_cell masters) cells in
+      Ok
+        { manifest_name = m.Io.Manifest.m_name; manifest_digest;
+          cells = Array.to_list cells })
 
 (* --- report forms ----------------------------------------------------- *)
 

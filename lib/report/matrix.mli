@@ -5,18 +5,28 @@
     arch/utilisation/scale combination of its axes; external DEF entries
     contribute one cell each (their placement — and so their axes — are
     fixed by the file). Both are crossed with the manifest's [params]
-    sets, when it has any. Every cell runs the Table-2 flow, as
-    [vm1opt] does: {!Flow.baseline} evaluates the initial routed
-    placement, then {!Flow.optimise} runs VM1Opt with the greedy window
-    solver, re-routes and evaluates again — with the cell's alpha,
-    optimisation sequence, router layer count and switches (dM1
-    routing, row DP, congestion term). A congestion-term cell builds its
-    congestion map from the baseline's route, so it routes twice, not
-    three times.
+    sets, when it has any. Every cell reports the Table-2 flow, as
+    [vm1opt] runs it: the initial routed placement's evaluation, then
+    VM1Opt with the greedy window solver, the re-route and the
+    evaluation again — with the cell's alpha, optimisation sequence,
+    router layer count and switches (dM1 routing, row DP, congestion
+    term).
 
-    Cells are distributed over the exec pool ({!Exec.parallel_map}),
-    with the in-cell optimiser forced sequential so the cell grid is the
-    unit of parallelism; the report — including its JSON form — is
+    Cells that share a placement source and the switches that act
+    before VM1Opt (row DP, router layers, [use_dm1]) form a group, and
+    a group shares one {!Flow.master}: one placement and one baseline
+    route. The alpha, sequence and congestion-term switches do not
+    split groups, since the baseline never reads them. So [run] takes
+    two {!Exec.parallel_map} phases. Phase 1 builds each group's master
+    ({!Flow.master}), and, for a group with a congestion-term cell,
+    the congestion map of the baseline route, which it then drops.
+    Phase 2 runs each cell as {!Flow.optimise} on a
+    [Place.Placement.copy] of its group's master. A sweep over alpha or
+    sequence thus places and routes its baseline once, and every cell
+    reports the numbers it would report alone.
+
+    Cells are the unit of parallelism: the in-cell optimiser runs
+    sequentially. The report — including its JSON form — is
     byte-identical for every [--jobs] setting (the [@matrix-smoke] gate
     diffs it against a committed golden at jobs 1, 2 and 4). *)
 

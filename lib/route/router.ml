@@ -1,31 +1,31 @@
 type config = {
-  via_cost : int;
-  overflow_penalty : int;
   ripup_passes : int;
   search_margin : int;
   use_dm1 : bool;
-  astar_weight_pct : int;
-  m1_surcharge : int;
   layers : int;
-  pdn_stripes : bool;
   shard_tracks : int;
   grid_skeleton : Grid.skeleton option;
 }
 
 let default_config =
   {
-    via_cost = 72;
-    overflow_penalty = 600;
     ripup_passes = 2;
     search_margin = 16;
     use_dm1 = true;
-    astar_weight_pct = 125;
-    m1_surcharge = 6;
     layers = 6;
-    pdn_stripes = true;
     shard_tracks = 64;
     grid_skeleton = None;
   }
+
+(* The cost model, in DBU-equivalents: a via; each existing user of an
+   edge (times pass + 1 in rip-up pass [pass]); the extra per M1 wire
+   edge, as pins make M1 tracks scarcer, though a short dM1 stays the
+   cheapest way to join aligned pins; and the A* heuristic's inflation,
+   in percent (100 = admissible). *)
+let via_cost = 72
+let overflow_penalty = 600
+let m1_surcharge = 6
+let astar_weight_pct = 125
 
 (* Metric handles created once, not looked up in the registry per call. *)
 let c_subnets = Obs.counter "route.subnets"
@@ -139,7 +139,7 @@ let make_ctx g cfg =
   {
     g;
     cfg;
-    penalty = cfg.overflow_penalty;
+    penalty = overflow_penalty;
     sc;
     s_hmin = max_int;
     s_found = -1;
@@ -187,12 +187,12 @@ let wire_cost ctx ~net n l j =
   else if l = 1 && not (m1_edge_allowed ctx j) then -1
   else begin
     let usage = g.Grid.wire_usage.(n) in
-    let surcharge = if l = 1 then ctx.cfg.m1_surcharge else 0 in
+    let surcharge = if l = 1 then m1_surcharge else 0 in
     (cost_scale * (g.Grid.pitch + surcharge + (usage * ctx.penalty))) + 1
   end
 
-let via_cost ctx n =
-  cost_scale * (ctx.cfg.via_cost + (ctx.g.Grid.via_usage.(n) * ctx.penalty))
+let via_edge_cost ctx n =
+  cost_scale * (via_cost + (ctx.g.Grid.via_usage.(n) * ctx.penalty))
 
 (* A*: multi-source (the net's current tree plus the source pin's access
    nodes) to the target pin's access nodes, within a window around the
@@ -234,7 +234,7 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
     let nxy = nx * ny in
     (* weighted A*: inflating the admissible Manhattan bound trades a
        bounded amount of path optimality for much smaller search trees *)
-    let hnum = cost_scale * g.Grid.pitch * ctx.cfg.astar_weight_pct in
+    let hnum = cost_scale * g.Grid.pitch * astar_weight_pct in
     let h2 i j =
       let dx = int_max 0 (int_max (ti_min - i) (i - ti_max)) in
       let dy = int_max 0 (int_max (tj_min - j) (j - tj_max)) in
@@ -260,7 +260,7 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
     Grid.pin_access_iter g src scan_h;
     if ctx.s_hmin < max_int then
       Bqueue.prepare bq
-        ~origin:((ctx.s_hmin * 100 / ctx.cfg.astar_weight_pct) - 64);
+        ~origin:((ctx.s_hmin * 100 / astar_weight_pct) - 64);
     ctx.s_bound <- max_int;
     (* [n] is the neighbour at layer [l], track column [vi], track row
        [vj], reached from the popped node [from] at distance [du] *)
@@ -340,10 +340,10 @@ let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
           end;
           (* via up *)
           if l < g.Grid.nl then
-            relax ~from:u ~du (u + nxy) (l + 1) i j (via_cost ctx u);
+            relax ~from:u ~du (u + nxy) (l + 1) i j (via_edge_cost ctx u);
           (* via down *)
           if l > 1 then
-            relax ~from:u ~du (u - nxy) (l - 1) i j (via_cost ctx (u - nxy))
+            relax ~from:u ~du (u - nxy) (l - 1) i j (via_edge_cost ctx (u - nxy))
         end
       end
     done;
@@ -538,8 +538,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
   Obs.with_span "route" (fun () ->
   let mw0 = if Obs.enabled () then Gc.minor_words () else 0. in
   let g =
-    Grid.of_placement ~layers:config.layers ~pdn_stripes:config.pdn_stripes
-      ?skeleton:config.grid_skeleton p
+    Grid.of_placement ~layers:config.layers ?skeleton:config.grid_skeleton p
   in
   let design = p.Place.Placement.design in
   let signal = Netlist.Design.signal_nets design in
@@ -686,7 +685,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
      nothing. *)
   for pass = 1 to config.ripup_passes do
     Obs.with_span "route.ripup" ~attrs:[ ("pass", `Int pass) ] (fun () ->
-    ctx.penalty <- config.overflow_penalty * (pass + 1);
+    ctx.penalty <- overflow_penalty * (pass + 1);
     let candidates = ref 0 in
     if Grid.overflow_count g > 0 then
       Array.iter

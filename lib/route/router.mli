@@ -15,22 +15,12 @@
     measure the ablation. *)
 
 type config = {
-  via_cost : int;          (** cost of one via, in DBU-equivalents *)
-  overflow_penalty : int;  (** added cost per existing user of an edge *)
   ripup_passes : int;      (** max rip-up-and-reroute passes after the
                                initial routing pass *)
   search_margin : int;     (** A* window margin around the subnet bbox, tracks *)
   use_dm1 : bool;          (** when false, M1 edges crossing row boundaries
                                are treated as blocked *)
-  astar_weight_pct : int;  (** heuristic inflation for weighted A*, percent;
-                               100 = admissible/optimal, 125 = default *)
-  m1_surcharge : int;      (** extra cost per M1 wire edge: M1 tracks are
-                               partially consumed by pins, so the router
-                               treats them as scarcer than upper layers;
-                               short dM1 connections remain the cheapest
-                               way to join aligned pins *)
   layers : int;            (** metal layers available to the router, 2..6 *)
-  pdn_stripes : bool;      (** install power-distribution blockage *)
   shard_tracks : int;      (** tile side, in tracks, for the tiled
                                initial pass (clamped to >= 8). The tiling
                                is a fixed function of the grid *)

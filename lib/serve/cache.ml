@@ -1,10 +1,5 @@
 type outcome = Hit | Miss
 
-type master = {
-  placement : Place.Placement.t;
-  baseline : Report.Flow.baseline;
-}
-
 (* One store per artifact type: a Hashtbl used strictly as a key-value
    map (find/replace only, never iterated — hash order can leak into
    nothing) plus plain hit/miss tallies. Single-domain by contract; see
@@ -18,8 +13,8 @@ type 'a store = {
 type t = {
   libraries : Pdk.Libgen.t store;
   netlists : Netlist.Design.t store;
-  placements : master store;
-  externals : master store;
+  placements : Report.Flow.master store;
+  externals : Report.Flow.master store;
   skeletons : Route.Grid.skeleton store;
 }
 
@@ -67,22 +62,13 @@ let netlist t ~lib ~name ~arch ~scale =
   lookup t.netlists (netlist_key ~name ~arch ~scale) (fun () ->
       Netlist.Designs.make ~lib ~scale name arch)
 
-(* The baseline evaluation reads the parameters only through
-   [Objective.counts] (gamma, closed_gamma, delta and the net weights),
-   which no job overrides, so the default parameters give every job's
-   [init]. The route is built without the grid skeleton: the skeleton
-   only replaces a blockage install with a copy of the same bytes, and
+(* The route is built without the grid skeleton: the skeleton only
+   replaces a blockage install with a copy of the same bytes, and
    resolving it here would add a second grid lookup to a cold job. The
    route itself is dropped: a master outlives every job on its
    placement, and a grid per cached placement would dominate the
    daemon's memory. *)
-let master_of placement =
-  let baseline, _route =
-    Report.Flow.baseline
-      (Vm1.Params.default placement.Place.Placement.tech)
-      placement
-  in
-  { placement; baseline }
+let master_of placement = fst (Report.Flow.master placement)
 
 let placement t ~design ~name ~arch ~scale ~utilization =
   let key =

@@ -11,7 +11,9 @@
     content, so a daemon serving many jobs pays them once. The baseline
     is a property of the input placement alone — a job's [alpha],
     [sequence] and solver act only on the optimised placement — so it
-    lives in the same entry as its placement.
+    lives in the same entry as its placement: a {!Report.Flow.master},
+    the type the experiment matrix shares its placements through too.
+    The baseline's route is not kept.
 
     The soundness argument has two halves, and both are load-bearing:
 
@@ -43,16 +45,6 @@ type outcome = Hit | Miss
     message as [Error] — it never escapes this module. *)
 exception Rejected of string
 
-(** A cached input placement with its baseline evaluation. *)
-type master = {
-  placement : Place.Placement.t;  (** shared: copy before mutating *)
-  baseline : Report.Flow.baseline;
-  (** [Report.Flow.baseline] of [placement] under
-      [Vm1.Params.default]: the routed, timed baseline every job on
-      this placement reports as [init], and the clock it is timed
-      against. The baseline's route is not kept. *)
-}
-
 val create : unit -> t
 
 (** [library t arch] is the generated standard-cell library for [arch],
@@ -79,7 +71,7 @@ val netlist :
 val placement :
   t -> design:Netlist.Design.t -> name:Netlist.Designs.name ->
   arch:Pdk.Cell_arch.t -> scale:int -> utilization:float ->
-  master * outcome
+  Report.Flow.master * outcome
 
 (** [external_placement t ~lib ~arch ~def_text] is the placement of an
     external-DEF job, keyed by (architecture, MD5 of the DEF text): the
@@ -94,7 +86,7 @@ val placement :
     mutate it. *)
 val external_placement :
   t -> lib:Pdk.Libgen.t -> arch:Pdk.Cell_arch.t -> def_text:string ->
-  (master * outcome, string) Stdlib.result
+  (Report.Flow.master * outcome, string) Stdlib.result
 
 (** [grid_skeleton t p] is the routing-grid blockage skeleton for [p]'s
     die, keyed by {!Route.Grid.skeleton_key} (die tracks, architecture,

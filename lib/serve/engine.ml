@@ -1,5 +1,5 @@
 type artifacts = {
-  master : Cache.master;  (** shared, read-only: copy before use *)
+  master : Report.Flow.master;  (** shared, read-only: copy before use *)
   skeleton : Route.Grid.skeleton;
   resolved : (string * bool) list;  (** per-store outcome, for the reply *)
 }
@@ -31,7 +31,7 @@ let prepare cache (job : Protocol.job) =
             ~scale ~utilization:util
         in
         let skeleton, g_o =
-          Cache.grid_skeleton cache master.Cache.placement
+          Cache.grid_skeleton cache master.Report.Flow.placement
         in
         Ok
           {
@@ -65,7 +65,7 @@ let prepare cache (job : Protocol.job) =
           | Error msg -> bad_request ("DEF rejected: " ^ msg)
           | Ok (master, e_o) ->
             let skeleton, g_o =
-              Cache.grid_skeleton cache master.Cache.placement
+              Cache.grid_skeleton cache master.Report.Flow.placement
             in
             Ok
               {
@@ -123,7 +123,7 @@ let placement_digest (p : Place.Placement.t) =
 let wcache_slot = Exec.Dls.create (fun () -> Vm1.Wcache.create ())
 
 let run_flow (job : Protocol.job) (a : artifacts) =
-  let q = Place.Placement.copy a.master.Cache.placement in
+  let q = Place.Placement.copy a.master.Report.Flow.placement in
   let params =
     let base = Vm1.Params.default q.Place.Placement.tech in
     match job.alpha with
@@ -144,7 +144,7 @@ let run_flow (job : Protocol.job) (a : artifacts) =
      placement is routed here *)
   let c =
     Report.Flow.optimise ~router_config ~config params
-      a.master.Cache.baseline q
+      a.master.Report.Flow.baseline q
   in
   let r_scale, r_util =
     match job.source with

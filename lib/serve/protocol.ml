@@ -272,7 +272,7 @@ let parse_job line =
             | Some m -> Stdlib.Ok (Some m)
             | None ->
               fail ?id Bad_request
-                "unknown solver %S (greedy|exact|anneal|auto|portfolio)" s)
+                "unknown solver %S (greedy|anneal|portfolio)" s)
           | Some _ -> fail ?id Bad_request "\"solver\" must be a string"
         in
         let* want_trace =

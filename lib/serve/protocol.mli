@@ -41,7 +41,7 @@ type job = {
   sequence : int;           (** optimisation sequence 1..5; default 1 *)
   solver : Vm1.Scp_solver.mode option;
   (** window-solver override (the ["solver"] request field:
-      [greedy|exact|anneal|auto|portfolio]); [None] defers to the
+      [greedy|anneal|portfolio]); [None] defers to the
       daemon's default ([--solver], else greedy) *)
   want_trace : bool;        (** reply carries a [vm1dp-trace/1] blob *)
 }

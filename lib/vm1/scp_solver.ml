@@ -1,19 +1,14 @@
-type mode = [ `Exact | `Greedy | `Anneal | `Auto | `Portfolio ]
+type mode = [ `Greedy | `Anneal | `Portfolio ]
 
 let mode_to_string = function
-  | `Exact -> "exact"
   | `Greedy -> "greedy"
   | `Anneal -> "anneal"
-  | `Auto -> "auto"
   | `Portfolio -> "portfolio"
 
-let mode_of_string = function
-  | "exact" -> Some `Exact
-  | "greedy" -> Some `Greedy
-  | "anneal" -> Some `Anneal
-  | "auto" -> Some `Auto
-  | "portfolio" -> Some `Portfolio
-  | _ -> None
+let modes = [ `Greedy; `Anneal; `Portfolio ]
+
+let mode_of_string s =
+  List.find_opt (fun m -> String.equal (mode_to_string m) s) modes
 
 type stats = {
   objective_before : float;
@@ -238,8 +233,7 @@ let anneal ?max_passes t =
    annealing continuation from that state. The rule depends only on the
    problem, so results are byte-identical across --jobs. *)
 
-(* exact joins the portfolio only on windows where it is clearly cheap;
-   the same bound `Auto uses to prefer it *)
+(* exact joins the portfolio only on windows where it is clearly cheap *)
 let exact_admissible t =
   Array.length t.Wproblem.cells <= 6 && exact_search_space t <= 50_000
 
@@ -275,23 +269,14 @@ let portfolio ?max_passes t =
   s
 
 let c_mode_greedy = Obs.counter "scp.mode.greedy"
-let c_mode_exact = Obs.counter "scp.mode.exact"
 let c_mode_anneal = Obs.counter "scp.mode.anneal"
 let c_mode_portfolio = Obs.counter "scp.mode.portfolio"
 
-let solve ?(mode = `Auto) ?max_passes t =
-  let mode =
-    match mode with
-    | `Auto -> if exact_admissible t then `Exact else `Greedy
-    | (`Greedy | `Exact | `Anneal | `Portfolio) as m -> m
-  in
+let solve ?(mode = `Greedy) ?max_passes t =
   match mode with
   | `Greedy ->
     Obs.Counter.incr c_mode_greedy;
     greedy ?max_passes t
-  | `Exact ->
-    Obs.Counter.incr c_mode_exact;
-    exact t
   | `Anneal ->
     Obs.Counter.incr c_mode_anneal;
     anneal ?max_passes t

@@ -5,17 +5,18 @@ type wcache_policy =
 type config = {
   sequence : Params.step list;
   mode : Scp_solver.mode;
-  max_inner_iters : int;
   parallel : bool;
   candidate_cost : (site:int -> row:int -> float) option;
   wcache : wcache_policy;
 }
 
+(* safety bound on the inner while loop of each sequence step *)
+let max_inner_iters = 6
+
 let default_config =
   {
     sequence = Params.default_sequence;
     mode = `Greedy;
-    max_inner_iters = 6;
     parallel = false;
     candidate_cost = None;
     wcache = Fresh_wcache;
@@ -65,7 +66,7 @@ let run ?(config = default_config) (params : Params.t)
       let obj = ref (Objective.value params p) in
       let delta = ref infinity in
       let inner = ref 0 in
-      while !delta >= params.Params.theta && !inner < config.max_inner_iters do
+      while !delta >= params.Params.theta && !inner < max_inner_iters do
         incr inner;
         Obs.Counter.incr (Obs.counter "vm1opt.iterations");
         let pre_obj = !obj in

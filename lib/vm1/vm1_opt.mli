@@ -20,7 +20,6 @@ type wcache_policy =
 type config = {
   sequence : Params.step list;
   mode : Scp_solver.mode;
-  max_inner_iters : int;  (** safety bound on the while loop *)
   parallel : bool;        (** distribute window batches over domains *)
   candidate_cost : (site:int -> row:int -> float) option;
   (** static per-candidate penalty (the congestion-aware extension) *)

@@ -52,14 +52,15 @@ let reference_portfolio t =
     Array.length t.W.cells <= 6 && S.exact_search_space t <= 50_000
   in
   let racers =
-    (if admissible then [ ("exact", `Exact) ] else [])
-    @ [ ("greedy", `Greedy); ("anneal", `Anneal) ]
+    (if admissible then [ ("exact", S.exact) ] else [])
+    @ [ ("greedy", fun p -> S.solve ~mode:`Greedy p);
+        ("anneal", fun p -> S.solve ~mode:`Anneal p) ]
   in
   let results =
     List.map
-      (fun (name, mode) ->
+      (fun (name, solve) ->
         let p = W.clone t in
-        let s = S.solve ~mode p in
+        let s = solve p in
         (name, p, s))
       racers
   in
@@ -904,7 +905,7 @@ let prop_state_invariant =
             then begin
               let before = snapshot t in
               let c = W.clone t in
-              ignore (S.solve ~mode:`Exact c);
+              ignore (S.exact c);
               if not (state_matches c && snapshot t = before) then ok := false
             end);
           previous := before;

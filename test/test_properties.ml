@@ -259,7 +259,7 @@ let prop_milp_equals_exhaustive =
         in
         let te = extract () in
         let saved = Array.map (fun (c : Vm1.Wproblem.cell) -> c.cur) te.cells in
-        ignore (Vm1.Scp_solver.solve ~mode:`Exact te);
+        ignore (Vm1.Scp_solver.exact te);
         let exact_obj = Vm1.Wproblem.objective te in
         (* fresh problem, same initial state *)
         let tm = extract () in

@@ -198,6 +198,75 @@ let test_matrix_params () =
   checkb "a switch at its default is not" false (contains json "row_dp");
   checkb "runtime not in the report" false (contains json "runtime")
 
+(* One generated point, four params sets. The two alpha cells and the
+   congestion-term cell share one master (one placement, one baseline
+   route); the 3-layer cell gets its own. Sharing changes no number:
+   each cell equals the same params set swept on its own, and the
+   report is the same at every pool size. *)
+let test_matrix_reuse () =
+  let manifest sets =
+    match
+      Io.Manifest.parse
+        (Printf.sprintf
+           {|{ "schema": "vm1dp-bench-manifest/1", "name": "reuse",
+               "designs": [ { "id": "m0", "generate": "m0" } ],
+               "archs": ["closedm1"], "utils": [0.75], "scales": [64],
+               "params": [ %s ] }|}
+           (String.concat ", " sets))
+    with
+    | Ok m -> m
+    | Error msg -> Alcotest.fail msg
+  in
+  let sets =
+    [ {|{ "id": "a0", "alpha": 0 }|}; {|{ "id": "a800", "alpha": 800 }|};
+      {|{ "id": "l3", "router_layers": 3 }|};
+      {|{ "id": "cong", "congestion_term": true }|} ]
+  in
+  let run m =
+    match Report.Matrix.run m with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  let json r = Obs.Json.to_string (Report.Matrix.to_json r) in
+  let jobs = Exec.jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ();
+      Exec.set_jobs jobs)
+    (fun () ->
+      Exec.set_jobs 1;
+      Obs.reset ();
+      Obs.set_enabled true;
+      let r = run (manifest sets) in
+      Obs.set_enabled false;
+      let calls name =
+        match
+          List.assoc_opt name (Obs.aggregate_spans (Obs.snapshot ()).Obs.spans)
+        with
+        | Some a -> a.Obs.calls
+        | None -> 0
+      in
+      Alcotest.(check int) "one placement per master" 2 (calls "place.global");
+      Alcotest.(check int) "a baseline per master, a re-route per cell" 6
+        (calls "route");
+      List.iter2
+        (fun set (c : Report.Matrix.cell) ->
+          match (run (manifest [ set ])).Report.Matrix.cells with
+          | [ alone ] ->
+            checkb (c.Report.Matrix.cell_id ^ " as its own sweep") true
+              (alone.Report.Matrix.cell_id = c.Report.Matrix.cell_id
+              && alone.Report.Matrix.params = c.Report.Matrix.params
+              && alone.Report.Matrix.init = c.Report.Matrix.init
+              && alone.Report.Matrix.final = c.Report.Matrix.final)
+          | _ -> Alcotest.fail "one cell expected")
+        sets r.Report.Matrix.cells;
+      List.iter
+        (fun j ->
+          Exec.set_jobs j;
+          checks (Printf.sprintf "jobs %d" j) (json r) (json (run (manifest sets))))
+        [ 1; 2; 4 ])
+
 let test_table2_render () =
   let p = Report.Flow.prepare ~scale:64 Netlist.Designs.M0 Pdk.Cell_arch.Closed_m1 in
   let params = Vm1.Params.default p.Place.Placement.tech in
@@ -234,7 +303,8 @@ let () =
           Alcotest.test_case "table2 render" `Quick test_table2_render;
         ] );
       ( "matrix",
-        [ Alcotest.test_case "params axis" `Quick test_matrix_params ] );
+        [ Alcotest.test_case "params axis" `Quick test_matrix_params;
+          Alcotest.test_case "cells share a master" `Quick test_matrix_reuse ] );
       ( "svg",
         [
           Alcotest.test_case "placement svg" `Quick test_svg_placement_wellformed;

@@ -84,6 +84,20 @@ let test_bad_fields () =
     (expect_error ~code:Serve.Protocol.Bad_request
        {|{"schema":"vm1dp-jobs/1","id":"b4","design":"m0","sequence":9}|})
 
+(* exact search refuses the flow's windows, so it is no job solver: the
+   request is the client's fault, not a server fault *)
+let test_removed_solver_modes () =
+  List.iter
+    (fun mode ->
+      let e =
+        expect_error ~code:Serve.Protocol.Bad_request
+          (Printf.sprintf
+             {|{"schema":"vm1dp-jobs/1","id":"s1","design":"m0","solver":"%s"}|}
+             mode)
+      in
+      checkb "id extracted" true (e.Serve.Protocol.err_id = Some "s1"))
+    [ "exact"; "auto" ]
+
 let test_external_field_rules () =
   (* exactly one of design / def / def_path *)
   ignore
@@ -542,6 +556,8 @@ let () =
           Alcotest.test_case "not an object" `Quick test_not_an_object;
           Alcotest.test_case "unknown schema" `Quick test_unknown_schema;
           Alcotest.test_case "bad fields" `Quick test_bad_fields;
+          Alcotest.test_case "removed solver modes" `Quick
+            test_removed_solver_modes;
           Alcotest.test_case "external field rules" `Quick
             test_external_field_rules;
           Alcotest.test_case "external job roundtrip" `Quick

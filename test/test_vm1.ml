@@ -326,7 +326,7 @@ let test_exact_beats_or_ties_greedy () =
   let g = Vm1.Scp_solver.solve ~mode:`Greedy t1 in
   let p2 = placed closed_lib in
   let t2 = tiny_window p2 closed_params in
-  let e = Vm1.Scp_solver.solve ~mode:`Exact t2 in
+  let e = Vm1.Scp_solver.exact t2 in
   checkb "exact <= greedy" true
     (e.Vm1.Scp_solver.objective_after
      <= g.Vm1.Scp_solver.objective_after +. 1e-6)
@@ -337,9 +337,9 @@ let test_exact_beats_or_ties_greedy () =
 let test_exact_moves_from_input () =
   let p = placed closed_lib in
   let t = tiny_window p closed_params in
-  let first = Vm1.Scp_solver.solve ~mode:`Exact t in
+  let first = Vm1.Scp_solver.exact t in
   checkb "first solve moves a cell" true (first.Vm1.Scp_solver.moves > 0);
-  let again = Vm1.Scp_solver.solve ~mode:`Exact t in
+  let again = Vm1.Scp_solver.exact t in
   check "no moves at the optimum" 0 again.Vm1.Scp_solver.moves
 
 let test_anneal_not_worse_than_greedy () =
@@ -372,7 +372,7 @@ let test_exact_refuses_large () =
     (Vm1.Scp_solver.exact_search_space t > Vm1.Scp_solver.exact_limit);
   Alcotest.check_raises "refuses"
     (Invalid_argument "Scp_solver: window too large for exact search")
-    (fun () -> ignore (Vm1.Scp_solver.solve ~mode:`Exact t))
+    (fun () -> ignore (Vm1.Scp_solver.exact t))
 
 (* --- Formulate: the MILP agrees with exhaustive search --- *)
 
@@ -386,7 +386,7 @@ let milp_matches_exact lib params cases =
       let p = placed ~n:120 ~seed ~utilization lib in
       let t_exact = tiny_window p params in
       let before = Vm1.Wproblem.objective t_exact in
-      let e = Vm1.Scp_solver.solve ~mode:`Exact t_exact in
+      let e = Vm1.Scp_solver.exact t_exact in
       (* fresh identical problem for the MILP *)
       let p2 = placed ~n:120 ~seed ~utilization lib in
       let t_milp = tiny_window p2 params in
@@ -423,7 +423,7 @@ let test_milp_matches_exact_with_flip () =
       ~allow_move:true
   in
   let te = extract p in
-  let e = Vm1.Scp_solver.solve ~mode:`Exact te in
+  let e = Vm1.Scp_solver.exact te in
   let p2 = placed ~n:120 ~seed:8 closed_lib in
   let t2 = extract p2 in
   ignore (Vm1.Formulate.solve ~node_limit:30000 t2);
@@ -473,7 +473,7 @@ let test_solver_ladder () =
     [
       ("greedy", 57342.0, scp `Greedy);
       ("anneal", 57036.0, scp `Anneal);
-      ("exact", 55788.0, scp `Exact);
+      ("exact", 55788.0, fun t -> ignore (Vm1.Scp_solver.exact t));
       ("milp", 55788.0, fun t -> ignore (Vm1.Formulate.solve ~node_limit:50_000 t));
     ]
 
