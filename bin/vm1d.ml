@@ -63,15 +63,15 @@ let admin_socket =
                line each (see PROTOCOL.md, \"The admin plane\"). Runs on \
                its own domain and only reads observability state, so \
                scraping never blocks or perturbs the job pipeline. \
-               Enables observability and rolling windows. vm1top renders \
-               this endpoint." ~docv:"PATH")
+               Enables observability. vm1top renders this endpoint."
+         ~docv:"PATH")
 
 let job_log =
   Arg.(value & opt (some string) None & info [ "job-log" ]
          ~doc:"Append one vm1dp-joblog/1 JSON line per completed job to \
                $(docv) (request id, source, solver, queue/execute spans, \
                cache outcomes, QoR digest, error class), flushed per \
-               line. Enables observability." ~docv:"FILE")
+               line." ~docv:"FILE")
 
 (* A client that hangs up (EPIPE or ECONNRESET surface as [Sys_error]
    on the channel) ends its own stream: nothing more is read, the
@@ -118,11 +118,16 @@ let admin_loop telemetry path ~should_stop =
      exit 1);
   Unix.listen sock 16;
   Printf.eprintf "vm1d: admin plane on %s\n%!" path;
+  (* every wake, at most 0.2 s apart, may take a window sample *)
   let readable fd =
-    match Unix.select [ fd ] [] [] 0.2 with
-    | [], _, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    let r =
+      match Unix.select [ fd ] [] [] 0.2 with
+      | [], _, _ -> false
+      | _ -> true
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    in
+    Serve.Telemetry.tick telemetry;
+    r
   in
   let serve_conn conn oc =
     (* hand-rolled line reader: In_channel would buffer past the first
@@ -221,11 +226,10 @@ let run socket_path accept_limit jobs max_in_flight solver trace metrics
   (* a client that hangs up before reading its replies must end only its
      own connection (see serve_channel), never the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if trace <> None || metrics || admin_socket <> None || job_log <> None then
+  (* the job log reads only the reply and the raw clock, so it leaves
+     observability (and its span history) off *)
+  if trace <> None || metrics || admin_socket <> None then
     Obs.set_enabled true;
-  (* windows feed the admin plane's "last 10s / 60s" views; without an
-     admin endpoint nothing reads them, so leave them off *)
-  if admin_socket <> None then Obs.Window.set_enabled true;
   if jobs > 0 then Exec.set_jobs jobs;
   let max_in_flight = if max_in_flight > 0 then Some max_in_flight else None in
   let cache = Serve.Cache.create () in

@@ -132,7 +132,7 @@ let render ~top_spans ~prev metrics health =
        (match health with
         | Some h -> fnum [ "queue_depth" ] h
         | None -> fnum [ "cumulative"; "gauges"; "serve.queue_depth" ] metrics));
-  (* throughput and latency, per window when the daemon has windows on *)
+  (* throughput and latency, per window when the document carries them *)
   let windowed = ref false in
   List.iter
     (fun h ->

@@ -35,6 +35,7 @@ let stack_key : open_span list ref Domain.DLS.key =
 
 let completed_mu = Mutex.create ()
 let completed : Span.t list ref = ref []   (* reversed *)
+let completed_n = ref 0                    (* List.length !completed *)
 
 (* The pop happens before [close_span], so the parent (if any) is the new
    top of this domain's stack. Root spans go to the global list; the
@@ -54,6 +55,7 @@ let close_span os end_ns =
   | [] ->
     Mutex.lock completed_mu;
     completed := sp :: !completed;
+    incr completed_n;
     Mutex.unlock completed_mu
 
 let with_span ?(attrs = []) name f =
@@ -81,263 +83,36 @@ let add_attr k v =
     | top :: _ -> top.oattrs <- (k, v) :: top.oattrs
     | [] -> ()
 
-(* --- rolling-window core (the write side of Obs.Window) ------------
-
-   Time is cut into fixed-width buckets (epoch = now / bucket_ns); a
-   windowed metric owns per-stripe ring buffers of [wbuckets] slots
-   indexed by [epoch mod wbuckets], each slot holding that stripe's
-   delta for one bucket. A writer finding its slot tagged with a stale
-   epoch zeroes it and claims it; the slot then accumulates deltas with
-   plain writes — one writer per stripe (the stripe is the writing
-   domain's), so no write contention, mirroring the counter cells.
-   Readers sum the slots whose epoch lies inside the requested horizon:
-   the same merge-on-read idea as snapshots. A reader racing a bucket
-   turnover may transiently misattribute that instant's bumps, but a
-   horizon covering the whole recording period is exact once the
-   writing domains are joined (the invariant the windowed-merge
-   property test checks). Rings are preallocated or published through
-   an atomic, so an enabled window adds no allocation to the metric hot
-   paths; the one-time per-stripe ring allocation is cold. *)
-
-module Wcore = struct
-  let w_on = Atomic.make false
-
-  (* bucket width; configurable before enabling (Window.configure) *)
-  let bucket_ns = Atomic.make 1_000_000_000
-
-  (* power of two; a horizon spans at most [wbuckets - 1] buckets *)
-  let wbuckets = 64
-
-  let epoch_at t_ns = Int64.to_int t_ns / Atomic.get bucket_ns
-  let epoch_now () = epoch_at (now_ns ())
-
-  (* counter ring: per-slot claim epoch + per-slot delta *)
-  type cring = { ce : int Atomic.t array; cd : int array }
-
-  let make_cring () =
-    { ce = Array.init wbuckets (fun _ -> Atomic.make min_int);
-      cd = Array.make wbuckets 0 }
-
-  type wcounter = { crings : cring option Atomic.t array (* per stripe *) }
-
-  let make_wcounter stripes =
-    { crings = Array.init stripes (fun _ -> Atomic.make None) }
-
-  let c_record (w : wcounter) i n =
-    let r =
-      match Atomic.get w.crings.(i) with
-      | Some r -> r
-      | None ->
-        begin
-          let r = make_cring () in
-          Atomic.set w.crings.(i) (Some r);
-          r
-        end [@vm1.cold]
-    in
-    let e = epoch_now () in
-    let s = e land (wbuckets - 1) in
-    if Atomic.get r.ce.(s) <> e then begin
-      r.cd.(s) <- 0;
-      Atomic.set r.ce.(s) e
-    end;
-    r.cd.(s) <- r.cd.(s) + n
-
-  let c_read (w : wcounter) ~e_start ~e_now =
-    Array.fold_left
-      (fun acc cell ->
-        match Atomic.get cell with
-        | None -> acc
-        | Some r ->
-          let sum = ref acc in
-          for s = 0 to wbuckets - 1 do
-            let e = Atomic.get r.ce.(s) in
-            if e >= e_start && e <= e_now then sum := !sum + r.cd.(s)
-          done;
-          !sum)
-      0 w.crings
-
-  let c_reset (w : wcounter) =
-    Array.iter (fun cell -> Atomic.set cell None) w.crings
-
-  (* gauge ring: shared across domains, last write per bucket wins *)
-  type wgauge = { ge : int Atomic.t array; gv : float Atomic.t array }
-
-  let make_wgauge () =
-    { ge = Array.init wbuckets (fun _ -> Atomic.make min_int);
-      gv = Array.init wbuckets (fun _ -> Atomic.make 0.0) }
-
-  let g_record (w : wgauge) v =
-    let e = epoch_now () in
-    let s = e land (wbuckets - 1) in
-    Atomic.set w.gv.(s) v;
-    Atomic.set w.ge.(s) e
-
-  (* the value written in the newest in-horizon bucket, if any *)
-  let g_read (w : wgauge) ~e_start ~e_now =
-    let best = ref min_int and v = ref 0.0 in
-    for s = 0 to wbuckets - 1 do
-      let e = Atomic.get w.ge.(s) in
-      if e >= e_start && e <= e_now && e > !best then begin
-        best := e;
-        v := Atomic.get w.gv.(s)
-      end
-    done;
-    if !best = min_int then None else Some !v
-
-  let g_reset (w : wgauge) =
-    Array.iter (fun cell -> Atomic.set cell min_int) w.ge
-
-  (* histogram ring: per-slot bucket-count deltas plus count/sum *)
-  type hring = {
-    he : int Atomic.t array;
-    hd : int array array;  (* slot -> histogram-bucket deltas *)
-    hn : int array;
-    hs : float array;
-  }
-
-  let make_hring nb1 =
-    { he = Array.init wbuckets (fun _ -> Atomic.make min_int);
-      hd = Array.init wbuckets (fun _ -> Array.make nb1 0);
-      hn = Array.make wbuckets 0;
-      hs = Array.make wbuckets 0.0 }
-
-  type whist = { hrings : hring option Atomic.t array (* per stripe *) }
-
-  let make_whist stripes =
-    { hrings = Array.init stripes (fun _ -> Atomic.make None) }
-
-  let h_record (w : whist) ~nb1 i bucket x =
-    let r =
-      match Atomic.get w.hrings.(i) with
-      | Some r -> r
-      | None ->
-        begin
-          let r = make_hring nb1 in
-          Atomic.set w.hrings.(i) (Some r);
-          r
-        end [@vm1.cold]
-    in
-    let e = epoch_now () in
-    let s = e land (wbuckets - 1) in
-    if Atomic.get r.he.(s) <> e then begin
-      let d = r.hd.(s) in
-      for k = 0 to Array.length d - 1 do
-        d.(k) <- 0
-      done;
-      r.hn.(s) <- 0;
-      r.hs.(s) <- 0.0;
-      Atomic.set r.he.(s) e
-    end;
-    let d = r.hd.(s) in
-    d.(bucket) <- d.(bucket) + 1;
-    r.hn.(s) <- r.hn.(s) + 1;
-    r.hs.(s) <- r.hs.(s) +. x
-
-  let h_read (w : whist) ~nb1 ~e_start ~e_now =
-    let counts = Array.make nb1 0 in
-    let count = ref 0 and sum = ref 0.0 in
-    Array.iter
-      (fun cell ->
-        match Atomic.get cell with
-        | None -> ()
-        | Some r ->
-          for s = 0 to wbuckets - 1 do
-            let e = Atomic.get r.he.(s) in
-            if e >= e_start && e <= e_now then begin
-              let d = r.hd.(s) in
-              for k = 0 to nb1 - 1 do
-                counts.(k) <- counts.(k) + d.(k)
-              done;
-              count := !count + r.hn.(s);
-              sum := !sum +. r.hs.(s)
-            end
-          done)
-      w.hrings;
-    (counts, !count, !sum)
-
-  let h_reset (w : whist) =
-    Array.iter (fun cell -> Atomic.set cell None) w.hrings
-end
-
 (* --- metrics --- *)
 
 module Counter = struct
-  (* One stripe per live domain: concurrent bumps from different domains
-     land in different cells, so there is no write contention in the
-     common case; [value] merges the per-domain cells. *)
-  let stripes = 64
+  type t = int Atomic.t
 
-  (* Stripes are handed out lowest-free-first and returned when the
-     domain exits, so no two live domains share one while at most
-     [stripes] are alive. The window rings rely on that: they assume a
-     single writer per stripe. Indexing by [Domain.self] modulo
-     [stripes] broke it once a respawned pool's domain ids wrapped onto
-     a live domain's (the main domain's 0 and a worker's 64), losing
-     windowed updates. Beyond [stripes] live domains they share. *)
-  let stripe_mu = Mutex.create ()
-  let stripe_used = Array.make stripes false
-
-  let rec free_stripe i =
-    if i = stripes then None
-    else if stripe_used.(i) then free_stripe (i + 1)
-    else Some i
-
-  let release_stripe i () =
-    Mutex.lock stripe_mu;
-    stripe_used.(i) <- false;
-    Mutex.unlock stripe_mu
-
-  let stripe_key =
-    Domain.DLS.new_key (fun () ->
-        Mutex.lock stripe_mu;
-        let s = free_stripe 0 in
-        Option.iter (fun i -> stripe_used.(i) <- true) s;
-        Mutex.unlock stripe_mu;
-        match s with
-        | Some i ->
-          Domain.at_exit (release_stripe i);
-          i
-        | None -> (Domain.self () :> int) land (stripes - 1))
-
-  let stripe () = Domain.DLS.get stripe_key
-
-  type t = { cells : int Atomic.t array; w : Wcore.wcounter }
-
-  let create () =
-    { cells = Array.init stripes (fun _ -> Atomic.make 0);
-      w = Wcore.make_wcounter stripes }
-
-  let add t n =
-    if Atomic.get on then begin
-      let i = stripe () in
-      if Atomic.get Wcore.w_on then Wcore.c_record t.w i n;
-      ignore (Atomic.fetch_and_add t.cells.(i) n)
-    end
-
+  let add t n = if Atomic.get on then ignore (Atomic.fetch_and_add t n)
   let incr t = add t 1
-  let value t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
-
-  let reset t =
-    Array.iter (fun c -> Atomic.set c 0) t.cells;
-    Wcore.c_reset t.w
+  let value t = Atomic.get t
+  let reset t = Atomic.set t 0
 end
 
 module Gauge = struct
-  type t = { cell : float Atomic.t; w : Wcore.wgauge }
+  (* [writes] counts the [set]s, so a reader comparing two reads can
+     tell whether the gauge was written between them *)
+  type t = { cell : float Atomic.t; writes : int Atomic.t }
 
-  let create () = { cell = Atomic.make 0.0; w = Wcore.make_wgauge () }
+  let create () = { cell = Atomic.make 0.0; writes = Atomic.make 0 }
 
   let set t v =
     if Atomic.get on then begin
-      if Atomic.get Wcore.w_on then Wcore.g_record t.w v;
-      Atomic.set t.cell v
+      Atomic.set t.cell v;
+      Atomic.incr t.writes
     end
 
   let value t = Atomic.get t.cell
+  let writes t = Atomic.get t.writes
 
   let reset t =
     Atomic.set t.cell 0.0;
-    Wcore.g_reset t.w
+    Atomic.set t.writes 0
 end
 
 module Histogram = struct
@@ -346,7 +121,6 @@ module Histogram = struct
     counts : int Atomic.t array;  (* bounds + 1 cells; last = overflow *)
     nobs : int Atomic.t;
     sum : float Atomic.t;
-    w : Wcore.whist;
   }
 
   let default_bounds =
@@ -358,7 +132,6 @@ module Histogram = struct
       counts = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
       nobs = Atomic.make 0;
       sum = Atomic.make 0.0;
-      w = Wcore.make_whist Counter.stripes;
     }
 
   let rec atomic_add_float a x =
@@ -372,9 +145,6 @@ module Histogram = struct
       while !i < nb && x > t.bounds.(!i) do
         incr i
       done;
-      if Atomic.get Wcore.w_on then begin
-        Wcore.h_record t.w ~nb1:(nb + 1) (Counter.stripe ()) !i x
-      end;
       ignore (Atomic.fetch_and_add t.counts.(!i) 1);
       ignore (Atomic.fetch_and_add t.nobs 1);
       atomic_add_float t.sum x
@@ -430,8 +200,7 @@ module Histogram = struct
   let reset (t : t) =
     Array.iter (fun c -> Atomic.set c 0) t.counts;
     Atomic.set t.nobs 0;
-    Atomic.set t.sum 0.0;
-    Wcore.h_reset t.w
+    Atomic.set t.sum 0.0
 end
 
 (* --- process-global registry --- *)
@@ -462,7 +231,7 @@ let get_or_create name make classify =
 
 let counter name =
   get_or_create name
-    (fun () -> C (Counter.create ()))
+    (fun () -> C (Atomic.make 0))
     (function C c -> Some c | _ -> None)
 
 let gauge name =
@@ -521,6 +290,8 @@ let snapshot () =
   Mutex.unlock completed_mu;
   snapshot_of_roots roots
 
+let metrics () = snapshot_of_roots []
+
 (* --- incremental snapshots ------------------------------------------ *)
 
 type cursor = { mutable seen_roots : int }
@@ -534,7 +305,7 @@ let rec take_rev n l acc =
 
 let snapshot_delta (c : cursor) =
   Mutex.lock completed_mu;
-  let total = List.length !completed in
+  let total = !completed_n in
   let fresh = take_rev (total - c.seen_roots) !completed [] in
   Mutex.unlock completed_mu;
   c.seen_roots <- total;
@@ -543,6 +314,7 @@ let snapshot_delta (c : cursor) =
 let reset () =
   Mutex.lock completed_mu;
   completed := [];
+  completed_n := 0;
   Mutex.unlock completed_mu;
   Mutex.lock reg_mu;
   Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry []
@@ -553,71 +325,6 @@ let reset () =
          | G g -> Gauge.reset g
          | H h -> Histogram.reset h);
   Mutex.unlock reg_mu
-
-(* --- rolling windows: the read side --------------------------------- *)
-
-module Window = struct
-  let enabled () = Atomic.get Wcore.w_on
-  let set_enabled v = Atomic.set Wcore.w_on v
-
-  let configure ~bucket_ns =
-    Atomic.set Wcore.bucket_ns (max 1_000_000 bucket_ns)
-
-  let max_horizon_ns () =
-    Int64.of_int ((Wcore.wbuckets - 1) * Atomic.get Wcore.bucket_ns)
-
-  type view = {
-    v_now_ns : int64;
-    v_horizon_ns : int64;
-    v_counters : (string * int) list;
-    v_gauges : (string * float option) list;
-    v_histograms : (string * Histogram.snap) list;
-  }
-
-  let read ?now_ns:now ~horizon_ns () =
-    let now = match now with Some t -> t | None -> now_ns () in
-    let horizon_ns =
-      if Int64.compare horizon_ns (max_horizon_ns ()) > 0 then
-        max_horizon_ns ()
-      else horizon_ns
-    in
-    let e_now = Wcore.epoch_at now in
-    let e_start = Wcore.epoch_at (Int64.sub now horizon_ns) in
-    let e_start = max e_start (e_now - (Wcore.wbuckets - 1)) in
-    let metrics = sorted_metrics () in
-    let pick f = List.filter_map (fun (name, m) -> f name m) metrics in
-    {
-      v_now_ns = now;
-      v_horizon_ns = horizon_ns;
-      v_counters =
-        pick (fun n m ->
-            match m with
-            | C c -> Some (n, Wcore.c_read c.Counter.w ~e_start ~e_now)
-            | _ -> None);
-      v_gauges =
-        pick (fun n m ->
-            match m with
-            | G g -> Some (n, Wcore.g_read g.Gauge.w ~e_start ~e_now)
-            | _ -> None);
-      v_histograms =
-        pick (fun n m ->
-            match m with
-            | H h ->
-              let nb1 = Array.length h.Histogram.bounds + 1 in
-              let counts, count, sum =
-                Wcore.h_read h.Histogram.w ~nb1 ~e_start ~e_now
-              in
-              Some
-                ( n,
-                  {
-                    Histogram.bounds = Array.copy h.Histogram.bounds;
-                    counts;
-                    count;
-                    sum;
-                  } )
-            | _ -> None);
-    }
-end
 
 (* --- bounded ring --------------------------------------------------- *)
 

@@ -9,10 +9,14 @@
       results, no allocation on the hot path.
     - {b Safe under [Domain]-parallel window solving.} All mutable state
       is either per-domain (the open-span stack, via [Domain.DLS]) or
-      written through atomics (counter stripes, gauge cells, histogram
-      buckets). [Dist_opt.solve_batch] can fan spans and counter bumps
-      out over domains with no locking on the hot path; per-domain
-      buffers are merged when a snapshot is taken, after the joins.
+      written through atomics (one cell per counter, gauge cells,
+      histogram buckets). [Dist_opt.solve_batch] can fan spans and
+      counter bumps out over domains with no locking on the hot path;
+      per-domain span buffers are merged when a snapshot is taken,
+      after the joins. Windowed ("last N seconds") views are not kept
+      here: a reader differences two cumulative reads
+      ([Serve.Telemetry] samples them), so recording costs nothing
+      extra.
     - {b Zero dependencies.} Only the OCaml runtime and a 10-line C stub
       for [CLOCK_MONOTONIC]; the JSON exporter is [Json], in this
       library.
@@ -81,16 +85,14 @@ val add_attr : string -> attr -> unit
     no-ops while disabled. *)
 
 module Counter : sig
-  (** Monotonically increasing integer, striped over per-domain cells so
-      concurrent bumps from parallel window solves do not contend; the
-      stripes are summed at read time. *)
+  (** Monotonically increasing integer: one atomic cell that every
+      domain bumps. *)
   type t
 
   val incr : t -> unit
   val add : t -> int -> unit
 
-  (** [value t] sums the per-domain stripes. Exact once the writing
-      domains have been joined. *)
+  (** Exact once the writing domains have been joined. *)
   val value : t -> int
 end
 
@@ -100,6 +102,11 @@ module Gauge : sig
 
   val set : t -> float -> unit
   val value : t -> float
+
+  (** [writes t] counts the [set]s since start (or {!reset}): a reader
+      holding an earlier count can tell whether the gauge was written
+      since. *)
+  val writes : t -> int
 end
 
 module Histogram : sig
@@ -156,6 +163,11 @@ type snapshot = {
     un-joined domains mid-flight) are not included. *)
 val snapshot : unit -> snapshot
 
+(** [metrics ()] is {!snapshot} without the spans ([spans = []]): it
+    reads only the registry, so its cost does not grow with the span
+    history. *)
+val metrics : unit -> snapshot
+
 (** {2 Incremental snapshots}
 
     A long-lived daemon scraped every few seconds must not re-walk its
@@ -180,72 +192,9 @@ val cursor : unit -> cursor
 val snapshot_delta : cursor -> snapshot
 
 (** [reset ()] drops completed spans and zeroes every registered metric
-    (rolling-window state included); handles stay valid. Open spans on
+    (gauge write counts included); handles stay valid. Open spans on
     other domains are unaffected. *)
 val reset : unit -> unit
-
-(** {1 Rolling windows}
-
-    The cumulative metrics above answer "since start"; {!Window} makes
-    the same counters, gauges and histograms answer "over the last N
-    seconds" for a live daemon. The write side is a lock-free rolling
-    layer: time is cut into fixed-width buckets, and every metric owns
-    per-stripe ring buffers of per-bucket deltas (one writer per
-    stripe — the writing domain's — exactly like the counter cells),
-    merged on read the way snapshots merge per-domain state. Off by
-    default; when off, the metric hot paths are unchanged. When on,
-    recording stays allocation-free after a one-time cold per-stripe
-    ring allocation, so enabling windows cannot shift the allocation
-    gauges the perf gate bands.
-
-    Accuracy contract: a read racing a bucket turnover may transiently
-    misattribute that instant's bumps between adjacent buckets, but a
-    horizon covering the whole recording period equals the cumulative
-    value exactly once the writing domains are joined — the
-    windowed ≡ merged-deltas invariant (property-tested across 1/2/4
-    domains in [test_obs]). *)
-
-module Window : sig
-  (** Window recording is off by default; [vm1d] enables it when the
-      admin plane is up. Enable before traffic: bumps recorded while
-      off are visible to cumulative reads only. *)
-  val enabled : unit -> bool
-
-  val set_enabled : bool -> unit
-
-  (** [configure ~bucket_ns] sets the bucket width (default 1s, clamped
-      to >= 1ms). Call before {!set_enabled}: slots recorded under a
-      different width read as stale, not wrong, but the transition
-      empties the windows. *)
-  val configure : bucket_ns:int -> unit
-
-  (** Longest supported horizon: (ring length - 1) buckets. Reads are
-      clamped to it. *)
-  val max_horizon_ns : unit -> int64
-
-  (** One windowed view over every registered metric, sorted by name
-      like {!snapshot}. A windowed gauge is the value written in the
-      newest bucket inside the horizon, or [None] when the gauge was
-      not set inside it (a gauge is a level — fall back to
-      {!Gauge.value}). A windowed histogram is an ordinary
-      {!Histogram.snap} of the in-horizon observations, so
-      {!Histogram.percentile} applies (and is [nan] on an empty
-      window). *)
-  type view = {
-    v_now_ns : int64;
-    v_horizon_ns : int64;  (** after clamping to [max_horizon_ns] *)
-    v_counters : (string * int) list;
-    v_gauges : (string * float option) list;
-    v_histograms : (string * Histogram.snap) list;
-  }
-
-  (** [read ~horizon_ns ()] merges the per-stripe rings into the view
-      for the last [horizon_ns] (including the partial current bucket
-      and the partial bucket containing the horizon start). [now_ns]
-      overrides the clock for tests: a far-future [now_ns] reads every
-      slot as expired. *)
-  val read : ?now_ns:int64 -> horizon_ns:int64 -> unit -> view
-end
 
 (** {1 Bounded ring}
 

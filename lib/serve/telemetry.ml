@@ -40,6 +40,14 @@ let job_record_json r =
    scrape is O(new spans), not O(history). *)
 type span_tot = { mutable st_calls : int; mutable st_total_ns : int64 }
 
+(* One read of every cumulative metric, plus each gauge's write count
+   so a window can tell whether the gauge was set inside it. *)
+type sample = {
+  s_ns : int64;
+  s_metrics : Obs.snapshot;  (* metrics only: [spans = []] *)
+  s_gauge_writes : (string * int) list;
+}
+
 type t = {
   start_ns : int64;
   mutable seq : int;              (* serve-loop confined *)
@@ -47,19 +55,43 @@ type t = {
   job_log : out_channel option;   (* serve-loop confined *)
   cursor : Obs.cursor;            (* admin-consumer confined *)
   span_aggs : (string, span_tot) Hashtbl.t;  (* admin-consumer confined *)
+  mutable samples : sample list;  (* newest first; admin-consumer confined *)
 }
 
 let default_ring_capacity = 64
 
-let create ?(ring_capacity = default_ring_capacity) ?job_log () =
+(* 64 samples at least 1 s apart reach back 63 s: the 60 s window *)
+let max_samples = 64
+let sample_gap_ns = 1_000_000_000L
+
+let take_sample now =
+  let m = Obs.metrics () in
   {
-    start_ns = Obs.now_ns ();
+    s_ns = now;
+    s_metrics = m;
+    s_gauge_writes =
+      List.map (fun (n, _) -> (n, Obs.Gauge.writes (Obs.gauge n))) m.Obs.gauges;
+  }
+
+let create ?(ring_capacity = default_ring_capacity) ?job_log () =
+  let now = Obs.now_ns () in
+  {
+    start_ns = now;
     seq = 0;
     ring = Obs.Ring.create ring_capacity;
     job_log;
     cursor = Obs.cursor ();
     span_aggs = Hashtbl.create 64;
+    samples = [ take_sample now ];
   }
+
+let tick ?now_ns t =
+  let now = match now_ns with Some x -> x | None -> Obs.now_ns () in
+  match t.samples with
+  | s :: _ when Int64.sub now s.s_ns < sample_gap_ns -> ()
+  | samples ->
+    t.samples <-
+      take_sample now :: List.filteri (fun i _ -> i < max_samples - 1) samples
 
 let close t = Option.iter close_out t.job_log
 
@@ -134,27 +166,80 @@ let hist_json (s : Obs.Histogram.snap) =
 
 let window_horizons_s = [ 10; 60 ]
 
-let window_json horizon_s =
-  let v =
-    Obs.Window.read ~horizon_ns:(Int64.of_int (horizon_s * 1_000_000_000)) ()
+(* The newest sample taken at or before [cut], or the oldest one when
+   none is that old. *)
+let rec base_sample cut = function
+  | [ s ] -> s
+  | s :: rest -> if Int64.compare s.s_ns cut <= 0 then s else base_sample cut rest
+  | [] -> invalid_arg "Telemetry.base_sample: no samples"
+
+type window = {
+  w_horizon_s : int;
+  w_counters : (string * int) list;
+  w_gauges : (string * float option) list;
+  w_histograms : (string * Obs.Histogram.snap) list;
+}
+
+(* A window is the current cumulative value minus the base sample's; a
+   metric registered after the base sample counts from zero. *)
+let window_of t ~now (cur : sample) horizon_s =
+  let base =
+    base_sample
+      (Int64.sub now (Int64.of_int (horizon_s * 1_000_000_000)))
+      t.samples
   in
+  let before l n = List.assoc_opt n l in
+  let counter_before = before base.s_metrics.Obs.counters
+  and writes_before = before base.s_gauge_writes
+  and hist_before = before base.s_metrics.Obs.histograms in
+  {
+    w_horizon_s = horizon_s;
+    w_counters =
+      List.map
+        (fun (n, c) -> (n, c - Option.value ~default:0 (counter_before n)))
+        cur.s_metrics.Obs.counters;
+    w_gauges =
+      List.map
+        (fun (n, g) ->
+          let written =
+            List.assoc n cur.s_gauge_writes
+            > Option.value ~default:0 (writes_before n)
+          in
+          (n, if written then Some g else None))
+        cur.s_metrics.Obs.gauges;
+    w_histograms =
+      List.map
+        (fun (n, (s : Obs.Histogram.snap)) ->
+          match hist_before n with
+          | None -> (n, s)
+          | Some (b : Obs.Histogram.snap) ->
+            ( n,
+              {
+                s with
+                counts = Array.map2 ( - ) s.counts b.counts;
+                count = s.count - b.count;
+                sum = s.sum -. b.sum;
+              } ))
+        cur.s_metrics.Obs.histograms;
+  }
+
+let window ?now_ns t ~horizon_s =
+  let now = match now_ns with Some x -> x | None -> Obs.now_ns () in
+  window_of t ~now (take_sample now) horizon_s
+
+let window_json w =
   J.Obj
     [
-      ("horizon_s", J.Int horizon_s);
-      ( "counters",
-        J.Obj
-          (List.map (fun (n, c) -> (n, J.Int c)) v.Obs.Window.v_counters) );
+      ("horizon_s", J.Int w.w_horizon_s);
+      ("counters", J.Obj (List.map (fun (n, c) -> (n, J.Int c)) w.w_counters));
       ( "gauges",
         J.Obj
           (List.map
              (fun (n, g) ->
                (n, match g with Some x -> J.Float x | None -> J.Null))
-             v.Obs.Window.v_gauges) );
+             w.w_gauges) );
       ( "histograms",
-        J.Obj
-          (List.map
-             (fun (n, s) -> (n, hist_json s))
-             v.Obs.Window.v_histograms) );
+        J.Obj (List.map (fun (n, s) -> (n, hist_json s)) w.w_histograms) );
     ]
 
 (* Fold spans completed since the previous scrape into the running
@@ -188,7 +273,8 @@ let spans_json t =
 
 let metrics_json t =
   let now = Obs.now_ns () in
-  let snap = Obs.snapshot () in
+  let cur = take_sample now in
+  let snap = cur.s_metrics in
   J.Obj
     [
       ("schema", J.Str Obs.Schemas.metrics);
@@ -208,9 +294,10 @@ let metrics_json t =
             );
           ] );
       ( "windows",
-        if Obs.Window.enabled () then
-          J.List (List.map window_json window_horizons_s)
-        else J.List [] );
+        J.List
+          (List.map
+             (fun h -> window_json (window_of t ~now cur h))
+             window_horizons_s) );
       ("spans", spans_json t);
     ]
 
@@ -266,6 +353,7 @@ let jobs_json t =
     ]
 
 let handle t verb =
+  tick t;
   match String.trim verb with
   | "metrics" -> metrics_json t
   | "health" -> health_json t

@@ -232,121 +232,6 @@ let test_snapshot_delta () =
       check_int "then sees new roots again" 1
         (List.length (Obs.snapshot_delta cur).Obs.spans))
 
-(* --- rolling windows --- *)
-
-let with_window f =
-  Obs.reset ();
-  Obs.set_enabled true;
-  Obs.Window.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Window.set_enabled false;
-      Obs.set_enabled false;
-      Obs.reset ())
-    f
-
-let test_window_basic () =
-  with_window (fun () ->
-      let c = Obs.counter "test.win_c" in
-      let g = Obs.gauge "test.win_g" in
-      let h = Obs.histogram ~bounds:[| 1.0; 10.0 |] "test.win_h" in
-      Obs.Counter.add c 5;
-      Obs.Counter.incr c;
-      Obs.Gauge.set g 2.5;
-      Obs.Histogram.observe h 0.5;
-      Obs.Histogram.observe h 50.0;
-      let full = Obs.Window.read ~horizon_ns:(Obs.Window.max_horizon_ns ()) () in
-      check_int "windowed counter = all recent bumps" 6
-        (List.assoc "test.win_c" full.Obs.Window.v_counters);
-      check_bool "windowed gauge = last write" true
-        (List.assoc "test.win_g" full.Obs.Window.v_gauges = Some 2.5);
-      let hs = List.assoc "test.win_h" full.Obs.Window.v_histograms in
-      check_int "windowed histogram count" 2 hs.Obs.Histogram.count;
-      check_bool "windowed histogram buckets" true
-        (hs.Obs.Histogram.counts = [| 1; 0; 1 |]);
-      (* horizons clamp to the ring capacity *)
-      check_bool "horizon clamped" true
-        (full.Obs.Window.v_horizon_ns <= Obs.Window.max_horizon_ns ());
-      (* reading far in the future expires every slot: the counters drop
-         to zero, the gauge to None, the histogram to empty — and the
-         windowed percentile hits the nan contract *)
-      let later =
-        Int64.add (Obs.now_ns ())
-          (Int64.mul 1000L (Obs.Window.max_horizon_ns ()))
-      in
-      let gone =
-        Obs.Window.read ~now_ns:later
-          ~horizon_ns:(Obs.Window.max_horizon_ns ()) ()
-      in
-      check_int "expired counter" 0
-        (List.assoc "test.win_c" gone.Obs.Window.v_counters);
-      check_bool "expired gauge" true
-        (List.assoc "test.win_g" gone.Obs.Window.v_gauges = None);
-      let ghs = List.assoc "test.win_h" gone.Obs.Window.v_histograms in
-      check_int "expired histogram" 0 ghs.Obs.Histogram.count;
-      check_bool "expired percentile is nan" true
-        (Float.is_nan (Obs.Histogram.percentile ghs 0.5)))
-
-let test_window_off_by_default () =
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      check_bool "windows off unless asked" false (Obs.Window.enabled ());
-      Obs.Counter.add (Obs.counter "test.win_off") 3;
-      let v = Obs.Window.read ~horizon_ns:(Obs.Window.max_horizon_ns ()) () in
-      check_int "bumps while off are cumulative-only" 0
-        (List.assoc "test.win_off" v.Obs.Window.v_counters);
-      check_int "cumulative still sees them" 3
-        (Obs.Counter.value (Obs.counter "test.win_off")))
-
-(* The windowed ≡ merged-deltas invariant (ARCHITECTURE.md): a window
-   covering the whole recording period equals the sequential reference
-   no matter how many domains recorded. The work fans out through the
-   sanctioned Exec pool (jobs 1/2/4), never raw Domain.spawn. *)
-let prop_window_merge =
-  QCheck2.Test.make ~name:"windowed = sequential reference across jobs 1/2/4"
-    ~count:20
-    QCheck2.Gen.(list_size (int_range 1 60) (int_range 1 50))
-    (fun xs ->
-      let expected_sum = List.fold_left ( + ) 0 xs in
-      let arr = Array.of_list xs in
-      List.for_all
-        (fun jobs ->
-          Exec.set_jobs jobs;
-          Obs.reset ();
-          Obs.set_enabled true;
-          Obs.Window.set_enabled true;
-          Fun.protect
-            ~finally:(fun () ->
-              Obs.Window.set_enabled false;
-              Obs.set_enabled false;
-              Obs.reset ())
-            (fun () ->
-              let c = Obs.counter "test.win_merge_c" in
-              let h =
-                Obs.histogram ~bounds:[| 10.0; 30.0 |] "test.win_merge_h"
-              in
-              Exec.parallel_for (Array.length arr) (fun i ->
-                  Obs.Counter.add c arr.(i);
-                  Obs.Histogram.observe h (float_of_int arr.(i)));
-              let v =
-                Obs.Window.read ~horizon_ns:(Obs.Window.max_horizon_ns ()) ()
-              in
-              let wc = List.assoc "test.win_merge_c" v.Obs.Window.v_counters in
-              let wh =
-                List.assoc "test.win_merge_h" v.Obs.Window.v_histograms
-              in
-              wc = expected_sum
-              && wc = Obs.Counter.value c
-              && wh.Obs.Histogram.count = Array.length arr
-              && wh.Obs.Histogram.counts
-                 = (Obs.Histogram.snap h).Obs.Histogram.counts))
-        [ 1; 2; 4 ])
-
 (* --- bounded ring --- *)
 
 let test_ring () =
@@ -379,13 +264,6 @@ let () =
           Alcotest.test_case "aggregation" `Quick test_aggregate;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
-        ] );
-      ( "windows",
-        [
-          Alcotest.test_case "record and read" `Quick test_window_basic;
-          Alcotest.test_case "off by default" `Quick
-            test_window_off_by_default;
-          QCheck_alcotest.to_alcotest prop_window_merge;
         ] );
       ( "ring",
         [ Alcotest.test_case "bounded fifo" `Quick test_ring ] );

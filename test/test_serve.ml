@@ -476,7 +476,6 @@ let test_scrape_does_not_perturb () =
   let _, plain = serve_lines telemetry_stream in
   Obs.reset ();
   Obs.set_enabled true;
-  Obs.Window.set_enabled true;
   let tel = Serve.Telemetry.create () in
   let scrapes = ref [] in
   let _, scraped =
@@ -488,7 +487,6 @@ let test_scrape_does_not_perturb () =
           :: !scrapes)
       telemetry_stream
   in
-  Obs.Window.set_enabled false;
   Obs.set_enabled false;
   Obs.reset ();
   checkb "replies byte-identical with scraping on" true
@@ -503,6 +501,138 @@ let test_scrape_does_not_perturb () =
         checkb "schema registered" true (Obs.Schemas.of_string s <> None)
       | _ -> Alcotest.fail "scrape document without a schema tag")
     !scrapes
+
+(* --- windows from sampled totals --- *)
+
+let with_obs f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    f
+
+let s_ns k = Int64.mul (Int64.of_int k) 1_000_000_000L
+
+(* The clock is injected: ticks and reads are placed whole seconds
+   after [t0], so no test sleeps. *)
+let test_sampler_windows () =
+  with_obs (fun () ->
+      let tel = Serve.Telemetry.create () in
+      let t0 = Obs.now_ns () in
+      let c = Obs.counter "test.win_c" in
+      let g = Obs.gauge "test.win_g" in
+      let h = Obs.histogram ~bounds:[| 1.0; 10.0 |] "test.win_h" in
+      Obs.Counter.add c 5;
+      Obs.Counter.incr c;
+      Obs.Gauge.set g 2.5;
+      Obs.Histogram.observe h 0.5;
+      Obs.Histogram.observe h 50.0;
+      let full = Serve.Telemetry.window ~now_ns:t0 tel ~horizon_s:60 in
+      check "windowed counter = all recent bumps" 6
+        (List.assoc "test.win_c" full.Serve.Telemetry.w_counters);
+      checkb "windowed gauge = last write" true
+        (List.assoc "test.win_g" full.Serve.Telemetry.w_gauges = Some 2.5);
+      let hs = List.assoc "test.win_h" full.Serve.Telemetry.w_histograms in
+      check "windowed histogram count" 2 hs.Obs.Histogram.count;
+      checkb "windowed histogram buckets" true
+        (hs.Obs.Histogram.counts = [| 1; 0; 1 |]);
+      (* a sample after the bumps, then a read one quiet horizon later:
+         counters drop to zero, the gauge to None, the histogram to
+         empty — and the windowed percentile hits the nan contract *)
+      Serve.Telemetry.tick ~now_ns:(Int64.add t0 (s_ns 1)) tel;
+      let gone =
+        Serve.Telemetry.window ~now_ns:(Int64.add t0 (s_ns 11)) tel
+          ~horizon_s:10
+      in
+      check "expired counter" 0
+        (List.assoc "test.win_c" gone.Serve.Telemetry.w_counters);
+      checkb "expired gauge" true
+        (List.assoc "test.win_g" gone.Serve.Telemetry.w_gauges = None);
+      let ghs = List.assoc "test.win_h" gone.Serve.Telemetry.w_histograms in
+      check "expired histogram" 0 ghs.Obs.Histogram.count;
+      checkb "expired percentile is nan" true
+        (Float.is_nan (Obs.Histogram.percentile ghs 0.5));
+      (* the longer horizon still reaches back to the first sample *)
+      let long =
+        Serve.Telemetry.window ~now_ns:(Int64.add t0 (s_ns 11)) tel
+          ~horizon_s:60
+      in
+      check "60 s horizon keeps the bumps" 6
+        (List.assoc "test.win_c" long.Serve.Telemetry.w_counters))
+
+(* Samples are at least 1 s apart and at most 64 are kept, so a window
+   reaches back no further than the oldest retained sample. *)
+let test_sampler_spacing_and_cap () =
+  with_obs (fun () ->
+      let tel = Serve.Telemetry.create () in
+      let t0 = Obs.now_ns () in
+      let c = Obs.counter "test.win_cap" in
+      (* sub-second ticks take no sample: the bump stays in the window *)
+      Obs.Counter.incr c;
+      Serve.Telemetry.tick ~now_ns:(Int64.add t0 500_000_000L) tel;
+      let w =
+        Serve.Telemetry.window ~now_ns:(Int64.add t0 (s_ns 11)) tel
+          ~horizon_s:10
+      in
+      check "a tick within 1 s takes no sample" 1
+        (List.assoc "test.win_cap" w.Serve.Telemetry.w_counters);
+      (* one bump per second over 100 s: only the newest 64 samples
+         stay, so a 200 s horizon sees the last 63 bumps *)
+      for k = 1 to 100 do
+        Obs.Counter.incr c;
+        Serve.Telemetry.tick ~now_ns:(Int64.add t0 (s_ns k)) tel
+      done;
+      let w =
+        Serve.Telemetry.window ~now_ns:(Int64.add t0 (s_ns 100)) tel
+          ~horizon_s:200
+      in
+      check "horizon capped by the oldest sample" 63
+        (List.assoc "test.win_cap" w.Serve.Telemetry.w_counters);
+      let w =
+        Serve.Telemetry.window ~now_ns:(Int64.add t0 (s_ns 100)) tel
+          ~horizon_s:10
+      in
+      check "10 s horizon" 10
+        (List.assoc "test.win_cap" w.Serve.Telemetry.w_counters))
+
+(* The windowed = merged-totals invariant (ARCHITECTURE.md): a window
+   covering the whole recording period equals the sequential reference
+   no matter how many domains recorded. The work fans out through the
+   sanctioned Exec pool (jobs 1/2/4), never raw Domain.spawn. *)
+let prop_window_merge =
+  QCheck2.Test.make ~name:"windowed = sequential reference across jobs 1/2/4"
+    ~count:20
+    QCheck2.Gen.(list_size (int_range 1 60) (int_range 1 50))
+    (fun xs ->
+      let expected_sum = List.fold_left ( + ) 0 xs in
+      let arr = Array.of_list xs in
+      List.for_all
+        (fun jobs ->
+          Exec.set_jobs jobs;
+          with_obs (fun () ->
+              let tel = Serve.Telemetry.create () in
+              let c = Obs.counter "test.win_merge_c" in
+              let h =
+                Obs.histogram ~bounds:[| 10.0; 30.0 |] "test.win_merge_h"
+              in
+              Exec.parallel_for (Array.length arr) (fun i ->
+                  Obs.Counter.add c arr.(i);
+                  Obs.Histogram.observe h (float_of_int arr.(i)));
+              let v = Serve.Telemetry.window tel ~horizon_s:60 in
+              let wc =
+                List.assoc "test.win_merge_c" v.Serve.Telemetry.w_counters
+              in
+              let wh =
+                List.assoc "test.win_merge_h" v.Serve.Telemetry.w_histograms
+              in
+              wc = expected_sum
+              && wc = Obs.Counter.value c
+              && wh.Obs.Histogram.count = Array.length arr
+              && wh.Obs.Histogram.counts
+                 = (Obs.Histogram.snap h).Obs.Histogram.counts))
+        [ 1; 2; 4 ])
 
 let test_jobs_ring_and_joblog_fields () =
   Obs.reset ();
@@ -603,5 +733,9 @@ let () =
             test_scrape_does_not_perturb;
           Alcotest.test_case "jobs ring and joblog fields" `Quick
             test_jobs_ring_and_joblog_fields;
+          Alcotest.test_case "sampled windows" `Quick test_sampler_windows;
+          Alcotest.test_case "sample spacing and cap" `Quick
+            test_sampler_spacing_and_cap;
+          QCheck_alcotest.to_alcotest prop_window_merge;
         ] );
     ]

@@ -9,7 +9,8 @@
      answer [metrics], [health] and [jobs] with one JSON document each,
      every document's ["schema"] tag must round-trip through
      [Obs.Schemas.of_string], and the metrics/health payloads must be
-     coherent (ready, at least one job counted);
+     coherent (ready, at least one job counted, cumulatively and in
+     the 10 s window);
    - a plain run with no admin plane at all;
    - a run whose first client sends the stream five times and hangs up
      without reading a reply; the daemon must keep serving the second
@@ -147,9 +148,21 @@ let run_admin vm1d jobs ~spath ~apath ~jlog =
   (match J.member "serve.jobs" (member_exn "metrics.cumulative" "counters" cum) with
   | Some (J.Int n) when n >= 1 -> ()
   | _ -> die "telemetry-smoke: metrics counted no serve.jobs after a reply");
-  (match member_exn "metrics" "windows" m with
-  | J.List (_ :: _) -> ()
-  | _ -> die "telemetry-smoke: metrics carries no windowed views");
+  (* the 10 s window differences the admin loop's samples: after a
+     reply it must count the job, proving the real loop feeds them *)
+  let w10 =
+    match member_exn "metrics" "windows" m with
+    | J.List ws -> (
+      match
+        List.find_opt (fun w -> J.member "horizon_s" w = Some (J.Int 10)) ws
+      with
+      | Some w -> w
+      | None -> die "telemetry-smoke: metrics carries no 10 s window")
+    | _ -> die "telemetry-smoke: metrics carries no windowed views"
+  in
+  (match J.member "serve.jobs" (member_exn "metrics.windows" "counters" w10) with
+  | Some (J.Int n) when n >= 1 -> ()
+  | _ -> die "telemetry-smoke: the 10 s window counted no serve.jobs");
   let h = scrape "health" in
   check_schema_roundtrip "health" h Obs.Schemas.health;
   (match member_exn "health" "ready" h with
