@@ -830,8 +830,8 @@ let walk_file ~path ~sup ~nodes ~next_id str =
 (* --- phase 2: resolution, taint fixpoint, hot-alloc reach ----------- *)
 
 (* library-wrapper module names derived from the scanned file set: a
-   file under lib/<d>/ is wrapped as <D>, so "Route.Bqueue.pop" and
-   "Bqueue.pop" both name the node rooted at bqueue.ml *)
+   file under lib/<d>/ is wrapped as <D>, so "Route.Grid.commit_wire"
+   and "Grid.commit_wire" both name the node rooted at grid.ml *)
 let wrapper_modules files =
   List.sort_uniq String.compare
     (List.filter_map
