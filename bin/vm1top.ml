@@ -141,10 +141,17 @@ let render ~top_spans ~prev metrics health =
       | Some w ->
         windowed := true;
         let label = Printf.sprintf "last %ds" h in
+        (* a daemon younger than [h] has been up for only part of the
+           window: its jobs all fall within [uptime] seconds *)
+        let span =
+          match uptime with
+          | Some u when u > 0.0 -> Float.min (float_of_int h) u
+          | _ -> float_of_int h
+        in
         buf_addf b "  throughput (%s): %s job/s\n" label
           (fmt_opt "%.2f"
              (Option.map
-                (fun j -> j /. float_of_int h)
+                (fun j -> j /. span)
                 (fnum [ "counters"; "serve.jobs" ] w)));
         buf_addf b "%s\n"
           (latency_line label
