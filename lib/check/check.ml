@@ -161,7 +161,7 @@ let route_result (r : Route.Router.result) =
                 match Route.Router.edge_of_code code with
                 | Route.Router.Wire n ->
                   wire_use.(n) <- wire_use.(n) + 1;
-                  let owner = g.Route.Grid.wire_owner.(n) in
+                  let owner = Route.Grid.wire_owner g n in
                   if owner = Route.Grid.blocked then
                     say "net %d routed through a blocked wire edge (node %d)"
                       nr.net_id n
@@ -178,8 +178,8 @@ let route_result (r : Route.Router.result) =
     say "failed-subnet recount %d != reported %d" !failed r.failed_subnets;
   let wire_bad = ref 0 and via_bad = ref 0 in
   for n = 0 to size - 1 do
-    if wire_use.(n) <> g.wire_usage.(n) then incr wire_bad;
-    if via_use.(n) <> g.via_usage.(n) then incr via_bad
+    if wire_use.(n) <> Route.Grid.wire_usage g n then incr wire_bad;
+    if via_use.(n) <> Route.Grid.via_usage g n then incr via_bad
   done;
   if !wire_bad > 0 then
     say "%d wire-edge usage cells differ from the path replay" !wire_bad;

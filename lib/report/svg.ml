@@ -136,9 +136,9 @@ let congestion (r : Route.Router.result) =
     if Route.Grid.has_wire_edge g n then begin
       let i = Route.Grid.i_of_node g n / tile in
       let j = Route.Grid.j_of_node g n / tile in
-      if g.Route.Grid.wire_owner.(n) <> Route.Grid.blocked then begin
+      if Route.Grid.wire_owner g n <> Route.Grid.blocked then begin
         cap.(i).(j) <- cap.(i).(j) + 1;
-        used.(i).(j) <- used.(i).(j) + min 2 g.Route.Grid.wire_usage.(n)
+        used.(i).(j) <- used.(i).(j) + min 2 (Route.Grid.wire_usage g n)
       end
     end
   done;

@@ -19,9 +19,9 @@ let of_result ?(tile_tracks = 8) (r : Router.result) =
         ((Grid.j_of_node g n / tile_tracks) * tx)
         + (Grid.i_of_node g n / tile_tracks)
       in
-      if g.Grid.wire_owner.(n) <> Grid.blocked then begin
+      if Grid.wire_owner g n <> Grid.blocked then begin
         cap.(idx) <- cap.(idx) + 1;
-        used.(idx) <- used.(idx) + g.Grid.wire_usage.(n)
+        used.(idx) <- used.(idx) + Grid.wire_usage g n
       end
     end
   done;

@@ -4,9 +4,7 @@ type t = {
   ny : int;
   nl : int;
   pitch : int;
-  wire_owner : int array;
-  wire_usage : int array;
-  via_usage : int array;
+  edges : int array;
   (* pin-access index: built once at of_placement time, replacing the
      per-call full-grid scan (kept below as [pin_access_scan]) *)
   pin_base : int array;
@@ -19,6 +17,24 @@ type t = {
 let free = -1
 let blocked = -2
 let num_layers = 6
+
+(* A node's edge word, from the low bit up: its wire edge's usage, its
+   via edge's usage, then its wire edge's owner + 2 (0 blocked, 1 free,
+   net + 2 owned) in the remaining high bits. *)
+let usage_bits = 16
+let usage_mask = (1 lsl usage_bits) - 1
+let via_shift = usage_bits
+let owner_shift = 2 * usage_bits
+let owner_max = max_int lsr owner_shift
+
+let wire_owner g n = (g.edges.(n) lsr owner_shift) - 2
+let wire_usage g n = g.edges.(n) land usage_mask
+let via_usage g n = (g.edges.(n) lsr via_shift) land usage_mask
+
+let set_owner g n owner =
+  g.edges.(n) <-
+    (g.edges.(n) land ((1 lsl owner_shift) - 1))
+    lor ((owner + 2) lsl owner_shift)
 
 let node g ~layer ~i ~j = (((layer - 1) * g.ny) + j) * g.nx + i
 let i_of_node g n = n mod g.nx
@@ -62,9 +78,9 @@ let install_m1_shape g ~net (r : Geom.Rect.t) =
         let ya = track_y g j and yb = track_y g (j + 1) in
         if max ya r.ly < min yb r.hy then begin
           let n = node g ~layer:1 ~i ~j in
-          let owner = g.wire_owner.(n) in
-          if owner = free then g.wire_owner.(n) <- net
-          else if owner <> net then g.wire_owner.(n) <- blocked
+          let owner = wire_owner g n in
+          if owner = free then set_owner g n net
+          else if owner <> net then set_owner g n blocked
         end
       done)
     tracks
@@ -80,7 +96,7 @@ let install_m1_rails g =
       for j = max 0 (y_to_track g y - 2) to min (g.ny - 2) (y_to_track g y + 1) do
         let ya = track_y g j and yb = track_y g (j + 1) in
         if ya < y && y <= yb then
-          g.wire_owner.(node g ~layer:1 ~i ~j) <- blocked
+          set_owner g (node g ~layer:1 ~i ~j) blocked
       done
     done
   done
@@ -101,7 +117,7 @@ let install_m2_rails g =
       else j
     in
     for i = 0 to g.nx - 2 do
-      g.wire_owner.(node g ~layer:2 ~i ~j) <- blocked
+      set_owner g (node g ~layer:2 ~i ~j) blocked
     done
   done
 
@@ -113,14 +129,14 @@ let install_pdn_stripes g =
     for i = 0 to g.nx - 1 do
       if i mod period = 0 then
         for j = 0 to g.ny - 2 do
-          g.wire_owner.(node g ~layer:5 ~i ~j) <- blocked
+          set_owner g (node g ~layer:5 ~i ~j) blocked
         done
     done;
   if g.nl >= 6 then
     for j = 0 to g.ny - 1 do
       if j mod period = 0 then
         for i = 0 to g.nx - 2 do
-          g.wire_owner.(node g ~layer:6 ~i ~j) <- blocked
+          set_owner g (node g ~layer:6 ~i ~j) blocked
         done
     done
 
@@ -285,7 +301,7 @@ type skeleton = {
   sk_nx : int;
   sk_ny : int;
   sk_pitch : int;
-  sk_owner : int array;
+  sk_edges : int array;
 }
 
 let skeleton_key ?(layers = num_layers) ?(pdn_stripes = true)
@@ -304,6 +320,17 @@ let make_bare ~layers (p : Place.Placement.t) =
   let size = layers * nx * ny in
   let design = p.Place.Placement.design in
   let instances = design.Netlist.Design.instances in
+  let top_net =
+    Array.fold_left
+      (fun m (inst : Netlist.Design.instance) ->
+        Array.fold_left max m inst.pin_nets)
+      (Array.length design.Netlist.Design.nets - 1)
+      instances
+  in
+  if top_net + 2 > owner_max then
+    invalid_arg
+      (Printf.sprintf "Grid.of_placement: net %d exceeds the owner field (max %d)"
+         top_net (owner_max - 2));
   let pin_base = Array.make (max 1 (Array.length instances)) 0 in
   let acc = ref 0 in
   Array.iteri
@@ -317,9 +344,7 @@ let make_bare ~layers (p : Place.Placement.t) =
     ny;
     nl = layers;
     pitch;
-    wire_owner = Array.make size free;
-    wire_usage = Array.make size 0;
-    via_usage = Array.make size 0;
+    edges = Array.make size ((free + 2) lsl owner_shift);
     pin_base;
     pin_access_off = [||];
     pin_access_nodes = [||];
@@ -342,7 +367,7 @@ let skeleton ?(layers = num_layers) ?(pdn_stripes = true)
     sk_nx = g.nx;
     sk_ny = g.ny;
     sk_pitch = g.pitch;
-    sk_owner = g.wire_owner;
+    sk_edges = g.edges;
   }
 
 let of_placement ?(layers = num_layers) ?(pdn_stripes = true) ?skeleton
@@ -356,7 +381,7 @@ let of_placement ?(layers = num_layers) ?(pdn_stripes = true) ?skeleton
         (Printf.sprintf
            "Grid.of_placement: skeleton built for %s used with %s" s.sk_key
            key);
-    Array.blit s.sk_owner 0 g.wire_owner 0 (Array.length s.sk_owner)
+    Array.blit s.sk_edges 0 g.edges 0 (Array.length s.sk_edges)
   | None -> install_blockage g ~pdn_stripes);
   let instances = p.Place.Placement.design.Netlist.Design.instances in
   Array.iteri
@@ -379,26 +404,39 @@ let of_placement ?(layers = num_layers) ?(pdn_stripes = true) ?skeleton
 (* --- usage commitment ------------------------------------------------ *)
 
 (* Only the 1 <-> 2 usage transitions change the overflowed-edge total,
-   so [overflow_count] never scans. *)
+   so [overflow_count] never scans. A usage field never wraps into its
+   neighbour: a commit past [usage_mask] or an uncommit below zero
+   raises. *)
+
+let[@vm1.cold] usage_out_of_range fn n =
+  invalid_arg (Printf.sprintf "Grid.%s: usage of node %d out of range" fn n)
 
 let commit_wire g n =
-  let u = g.wire_usage.(n) + 1 in
-  g.wire_usage.(n) <- u;
+  let w = g.edges.(n) in
+  let u = (w land usage_mask) + 1 in
+  if u > usage_mask then usage_out_of_range "commit_wire" n;
+  g.edges.(n) <- w + 1;
   if u = 2 then g.overflow_edges <- g.overflow_edges + 1
 
 let uncommit_wire g n =
-  let u = g.wire_usage.(n) in
-  g.wire_usage.(n) <- u - 1;
+  let w = g.edges.(n) in
+  let u = w land usage_mask in
+  if u = 0 then usage_out_of_range "uncommit_wire" n;
+  g.edges.(n) <- w - 1;
   if u = 2 then g.overflow_edges <- g.overflow_edges - 1
 
 let commit_via g n =
-  let u = g.via_usage.(n) + 1 in
-  g.via_usage.(n) <- u;
+  let w = g.edges.(n) in
+  let u = ((w lsr via_shift) land usage_mask) + 1 in
+  if u > usage_mask then usage_out_of_range "commit_via" n;
+  g.edges.(n) <- w + (1 lsl via_shift);
   if u = 2 then g.overflow_edges <- g.overflow_edges + 1
 
 let uncommit_via g n =
-  let u = g.via_usage.(n) in
-  g.via_usage.(n) <- u - 1;
+  let w = g.edges.(n) in
+  let u = (w lsr via_shift) land usage_mask in
+  if u = 0 then usage_out_of_range "uncommit_via" n;
+  g.edges.(n) <- w - (1 lsl via_shift);
   if u = 2 then g.overflow_edges <- g.overflow_edges - 1
 
 let overflow_count g = g.overflow_edges
@@ -409,12 +447,12 @@ let overflow_count_scan g =
   let count = ref 0 in
   let size = node_count g in
   for n = 0 to size - 1 do
-    if has_wire_edge g n && g.wire_usage.(n) > 1 then incr count;
-    if has_via_edge g n && g.via_usage.(n) > 1 then incr count
+    if has_wire_edge g n && wire_usage g n > 1 then incr count;
+    if has_via_edge g n && via_usage g n > 1 then incr count
   done;
   !count
 
 let clear_usage g =
-  Array.fill g.wire_usage 0 (Array.length g.wire_usage) 0;
-  Array.fill g.via_usage 0 (Array.length g.via_usage) 0;
+  let owner_bits = (-1) lsl owner_shift in
+  Array.iteri (fun n w -> g.edges.(n) <- w land owner_bits) g.edges;
   g.overflow_edges <- 0

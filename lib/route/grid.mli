@@ -22,9 +22,12 @@ type t = {
   ny : int;                (** horizontal track count (y direction) *)
   nl : int;                (** number of metal layers in this grid *)
   pitch : int;             (** track pitch in DBU, both directions *)
-  wire_owner : int array;  (** per (layer,node): [free] / [blocked] / net id *)
-  wire_usage : int array;  (** routes using the wire edge *)
-  via_usage : int array;   (** routes using the via edge above the node *)
+  edges : int array;
+      (** one packed word per node: the wire edge's usage in bits
+          [0 .. via_shift - 1], the via edge's usage in bits
+          [via_shift .. owner_shift - 1] and the wire edge's owner + 2
+          above [owner_shift]; read it with {!wire_owner},
+          {!wire_usage} and {!via_usage} *)
   pin_base : int array;    (** per instance: first flat pin index *)
   mutable pin_access_off : int array;
       (** pin-access index offsets, length total pins + 1 *)
@@ -35,11 +38,32 @@ type t = {
       (** total edges with usage > 1, kept by the commit functions *)
 }
 
-(** wire_owner value: unreserved. *)
+(** {!wire_owner} value: unreserved. *)
 val free : int
 
-(** wire_owner value: hard blockage. *)
+(** {!wire_owner} value: hard blockage. *)
 val blocked : int
+
+(** [wire_owner g n] is the owner of the wire edge at node [n]: {!free},
+    {!blocked} or the net id the edge is reserved for. *)
+val wire_owner : t -> int -> int
+
+(** [wire_usage g n] is the number of routes using the wire edge at
+    node [n]. *)
+val wire_usage : t -> int -> int
+
+(** [via_usage g n] is the number of routes using the via edge above
+    node [n]. *)
+val via_usage : t -> int -> int
+
+(** The edge word's layout, for code that decodes [edges] in a loop
+    rather than through the accessors: each usage field is [usage_mask]
+    wide, the via usage starts at bit [via_shift] and the owner + 2 at
+    bit [owner_shift]. *)
+val usage_mask : int
+
+val via_shift : int
+val owner_shift : int
 
 (** 6: M1..M6, alternating vertical/horizontal preferred directions. *)
 val num_layers : int
@@ -52,8 +76,8 @@ val layer_of_node : t -> int -> int
 val i_of_node : t -> int -> int
 val j_of_node : t -> int -> int
 
-(** [node_count g] is the total number of nodes (= size of the edge
-    arrays; the wire edge at a node leads to the next node in the layer's
+(** [node_count g] is the total number of nodes (= length of [edges];
+    the wire edge at a node leads to the next node in the layer's
     preferred direction, the via edge leads to the same (i,j) one layer
     up). *)
 val node_count : t -> int
@@ -95,17 +119,17 @@ val via_dest : t -> int -> int
     ([lib/serve]) caches skeletons keyed by {!skeleton_key}; a one-shot
     run never needs them. *)
 
-(** The placement-independent blockage of a grid: the [wire_owner]
-    contents after rail/PDN installation and before any pin shape.
-    Immutable once built — [of_placement] copies it into the fresh
-    grid. *)
+(** The placement-independent blockage of a grid: the [edges] contents
+    after rail/PDN installation and before any pin shape, so every
+    usage field is zero. Immutable once built — [of_placement] copies
+    it into the fresh grid. *)
 type skeleton = private {
   sk_key : string;      (** the {!skeleton_key} it was built for *)
   sk_nl : int;          (** layer count the skeleton covers *)
   sk_nx : int;
   sk_ny : int;
   sk_pitch : int;
-  sk_owner : int array; (** blockage-only wire_owner, length nl*nx*ny *)
+  sk_edges : int array; (** blockage-only [edges], length nl*nx*ny *)
 }
 
 (** [skeleton_key ?layers ?pdn_stripes p] identifies the blockage
@@ -129,7 +153,9 @@ val skeleton : ?layers:int -> ?pdn_stripes:bool -> Place.Placement.t -> skeleton
     the rail/PDN installation with an array copy; its key must equal
     [skeleton_key ?layers ?pdn_stripes p] (checked — raises
     [Invalid_argument] on a mismatched skeleton rather than building a
-    wrong grid). Rebuild after the placement changes. *)
+    wrong grid). Raises [Invalid_argument] when a net id does not fit
+    the owner field of the edge word. Rebuild after the placement
+    changes. *)
 val of_placement :
   ?layers:int -> ?pdn_stripes:bool -> ?skeleton:skeleton ->
   Place.Placement.t -> t
@@ -158,7 +184,9 @@ val pin_access_scan : t -> Netlist.Design.pin_ref -> int list
     usage counters they keep the total of overflowed edges (usage > 1),
     which is what makes [overflow_count] O(1). They allocate nothing and
     record no edge's users: the router finds the nets on overflowed
-    edges by scanning their own stored paths. *)
+    edges by scanning their own stored paths. A commit past
+    [usage_mask] or an uncommit of an unused edge raises
+    [Invalid_argument] rather than spilling into the next field. *)
 
 val commit_wire : t -> int -> unit
 val commit_via : t -> int -> unit
@@ -174,5 +202,5 @@ val overflow_count : t -> int
 val overflow_count_scan : t -> int
 
 (** [clear_usage g] zeroes all usage counters and the overflowed-edge
-    total. *)
+    total, keeping every owner. *)
 val clear_usage : t -> unit

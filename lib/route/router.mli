@@ -138,6 +138,24 @@ type result = {
   mutable failed_subnets : int;  (** subnets with [routed = false] *)
 }
 
+(** Test-only hooks into the calling domain's search scratch; no flow
+    calls them. *)
+module Testing : sig
+  (** The generation at which the next subnet restarts the count,
+      zeroing the node records and target marks first. *)
+  val generation_reset : int
+
+  (** The calling domain's current generation. *)
+  val generation : unit -> int
+
+  (** [set_generation g] moves the calling domain's generation up to
+      [g], e.g. to just below {!generation_reset}, so a route crosses
+      the restart.
+      @raise Invalid_argument if [g] is below the current generation,
+      which would let stale records match. *)
+  val set_generation : int -> unit
+end
+
 (** [net_overflow g nr] is the number of [nr]'s committed edge
     occurrences lying on overflowed edges (usage > 1) of [g], counted
     over its stored paths: positive exactly when the net crosses
@@ -163,25 +181,30 @@ val net_overflow : Grid.t -> net_route -> int
     generation-stamped {!Stampset}, and rip-up passes test each net with
     {!net_overflow}, a scan of that net's own stored paths — a pass with
     no overflowed edge ([Grid.overflow_count] = 0) scans nothing. Each
-    node's search state (distance, generation, parent) is one
-    interleaved three-int record, so a relax touches one record, not
-    three arrays;
+    node's search state is one word (generation, distance stored
+    inverted, and the move that reached the node), so "stale or
+    longer" is one integer compare and a relax touches one word;
     open-list entries carry the node's packed (layer, row, column), so a
     pop decodes with shifts, not [mod] and [/]; and a relax whose f is
     at or above the smallest f at which a target is already queued is
     skipped, which is exact because ties pop FIFO — every route is
     byte-identical to the unpruned search. Each search folds the cost
     model into integer bases (an edge costs its base plus usage times
-    the scaled penalty), and the heuristic and relax are inlined into
-    the expansion loop.
+    the scaled penalty), reads the grid's packed edge word directly, and
+    has the heuristic and relax inlined into the expansion loop; a
+    search allocates nothing. A path cost beyond the record's distance
+    field raises [Failure] rather than pruning.
 
     The search context (node records, tree set, M1 target marks, open
     list) is kept per domain, reused by every later route there and
     grown only for a larger grid. A domain thus retains about
-    [4 + 1/layers] words per node of the largest grid it has routed,
+    [2 + 1/layers] words per node of the largest grid it has routed,
     plus the open list of its largest search. Its generation counter
     only rises, so stamps left by an earlier route, finished or raised,
-    never match and reuse changes no routed edge.
+    never match and reuse changes no routed edge; once half of the
+    record's generation field is used, the next subnet zeroes the
+    records and target marks and restarts the count
+    ({!Testing.generation_reset}).
 
     Emits observability when [Obs.enabled]: a [route] span with nested
     [route.initial] and per-pass [route.ripup] spans, the

@@ -14,6 +14,7 @@ let clear t =
 
 let mem t x = t.stamp.(x) = t.gen
 let cardinal t = t.n
+let items t = t.items
 
 let add t x =
   if t.stamp.(x) <> t.gen then begin

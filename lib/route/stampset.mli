@@ -23,5 +23,10 @@ val add : t -> int -> unit
 
 val cardinal : t -> int
 
+(** [items t] is the set's own member store: its first [cardinal t]
+    entries are the members in insertion order. Valid until the next
+    [add] or [clear]; for loops that must not allocate a closure. *)
+val items : t -> int array
+
 (** [iter t f] applies [f] to every member in insertion order. *)
 val iter : t -> (int -> unit) -> unit

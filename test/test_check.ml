@@ -139,8 +139,8 @@ let find_free_wire_edge (g : Route.Grid.t) =
       Alcotest.fail "no free wire edge in grid"
     else if
       Route.Grid.has_wire_edge g n
-      && g.wire_usage.(n) = 0
-      && g.wire_owner.(n) = Route.Grid.free
+      && Route.Grid.wire_usage g n = 0
+      && Route.Grid.wire_owner g n = Route.Grid.free
     then n
     else go (n + 1)
   in

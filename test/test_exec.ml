@@ -86,10 +86,8 @@ let test_route_identity () =
   let r4 = Route.Router.route ~config p in
   Alcotest.(check string) "routes identical" (digest r1) (digest r4);
   Alcotest.(check bool) "usage identical" true
-    (r1.Route.Router.grid.Route.Grid.wire_usage
-       = r4.Route.Router.grid.Route.Grid.wire_usage
-    && r1.Route.Router.grid.Route.Grid.via_usage
-         = r4.Route.Router.grid.Route.Grid.via_usage)
+    (r1.Route.Router.grid.Route.Grid.edges
+     = r4.Route.Router.grid.Route.Grid.edges)
 
 (* A raising task resolves to its exception: the awaiter gets it, the
    thunk is never re-run, and the pool keeps working. *)

@@ -105,8 +105,8 @@ let prop_usage_consistent =
         r.routes;
       let ok = ref true in
       for n = 0 to size - 1 do
-        if wire.(n) <> g.Route.Grid.wire_usage.(n) then ok := false;
-        if via.(n) <> g.Route.Grid.via_usage.(n) then ok := false
+        if wire.(n) <> Route.Grid.wire_usage g n then ok := false;
+        if via.(n) <> Route.Grid.via_usage g n then ok := false
       done;
       !ok)
 
