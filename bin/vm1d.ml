@@ -2,8 +2,8 @@
    request lines — from stdin (default) or a Unix socket — scheduling
    jobs onto the shared domain pool and streaming replies back in
    request order. Immutable artifacts (cell libraries, netlists, input
-   placements, grid skeletons) are cached across jobs for the lifetime
-   of the process; see PROTOCOL.md for the wire format and README
+   placements with their baselines) are cached across jobs for the
+   lifetime of the process; see PROTOCOL.md for the wire format and README
    "Running the batch service" for usage. *)
 
 open Cmdliner

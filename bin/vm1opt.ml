@@ -67,11 +67,11 @@ let svg_prefix =
          ~doc:"Write PREFIX.{placement,routed,congestion}.svg of the final                layout.")
 
 let parallel =
-  Arg.(value & flag & info [ "parallel"; "j" ]
+  Arg.(value & flag & info [ "parallel" ]
          ~doc:"Solve diagonally-independent windows on multiple domains                (the paper's distributable optimisation); results are                identical to the sequential run.")
 
 let jobs =
-  Arg.(value & opt int 0 & info [ "jobs" ]
+  Arg.(value & opt int 0 & info [ "jobs"; "j" ]
          ~doc:"Size of the shared domain pool used by --parallel (caller +                workers). 0 picks the recommended domain count. Results                are byte-identical for every value." ~docv:"N")
 
 let trace =

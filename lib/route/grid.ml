@@ -284,40 +284,13 @@ let pin_access_iter g pr f =
     f g.pin_access_nodes.(k)
   done
 
-(* The blockage installed below is a pure function of the die and the
-   architecture — never of cell positions — which is what makes the
-   skeleton cache of lib/serve sound: two placements with equal
-   [skeleton_key]s get byte-identical rail/PDN blockage. *)
-
-let grid_dims (p : Place.Placement.t) =
-  let pitch = p.Place.Placement.tech.Pdk.Tech.m2_pitch in
-  let nx = max 2 (Geom.Rect.width p.die / pitch) in
-  let ny = max 2 (Geom.Rect.height p.die / pitch) in
-  (nx, ny, pitch)
-
-type skeleton = {
-  sk_key : string;
-  sk_nl : int;
-  sk_nx : int;
-  sk_ny : int;
-  sk_pitch : int;
-  sk_edges : int array;
-}
-
-let skeleton_key ?(layers = num_layers) ?(pdn_stripes = true)
-    (p : Place.Placement.t) =
-  let tech = p.Place.Placement.tech in
-  let nx, ny, pitch = grid_dims p in
-  Printf.sprintf "%s/l%d/%dx%d/pitch%d/rows%d/rh%d/pdn%c"
-    (Pdk.Cell_arch.to_string tech.Pdk.Tech.arch)
-    layers nx ny pitch p.Place.Placement.num_rows tech.Pdk.Tech.row_height
-    (if pdn_stripes then 'y' else 'n')
-
-let make_bare ~layers (p : Place.Placement.t) =
+let of_placement ?(layers = num_layers) (p : Place.Placement.t) =
   if layers < 2 || layers > num_layers then
     invalid_arg "Grid.of_placement: layers must be in 2..6";
-  let nx, ny, pitch = grid_dims p in
-  let size = layers * nx * ny in
+  let tech = p.Place.Placement.tech in
+  let pitch = tech.Pdk.Tech.m2_pitch in
+  let nx = max 2 (Geom.Rect.width p.die / pitch) in
+  let ny = max 2 (Geom.Rect.height p.die / pitch) in
   let design = p.Place.Placement.design in
   let instances = design.Netlist.Design.instances in
   let top_net =
@@ -338,52 +311,23 @@ let make_bare ~layers (p : Place.Placement.t) =
       pin_base.(i) <- !acc;
       acc := !acc + List.length inst.master.Pdk.Stdcell.pins)
     instances;
-  {
-    placement = p;
-    nx;
-    ny;
-    nl = layers;
-    pitch;
-    edges = Array.make size ((free + 2) lsl owner_shift);
-    pin_base;
-    pin_access_off = [||];
-    pin_access_nodes = [||];
-    overflow_edges = 0;
-  }
-
-let install_blockage g ~pdn_stripes =
-  let tech = g.placement.Place.Placement.tech in
+  let g =
+    {
+      placement = p;
+      nx;
+      ny;
+      nl = layers;
+      pitch;
+      edges = Array.make (layers * nx * ny) ((free + 2) lsl owner_shift);
+      pin_base;
+      pin_access_off = [||];
+      pin_access_nodes = [||];
+      overflow_edges = 0;
+    }
+  in
   if tech.Pdk.Tech.arch = Pdk.Cell_arch.Conventional12 then install_m1_rails g
   else install_m2_rails g;
-  if pdn_stripes then install_pdn_stripes g
-
-let skeleton ?(layers = num_layers) ?(pdn_stripes = true)
-    (p : Place.Placement.t) =
-  let g = make_bare ~layers p in
-  install_blockage g ~pdn_stripes;
-  {
-    sk_key = skeleton_key ~layers ~pdn_stripes p;
-    sk_nl = g.nl;
-    sk_nx = g.nx;
-    sk_ny = g.ny;
-    sk_pitch = g.pitch;
-    sk_edges = g.edges;
-  }
-
-let of_placement ?(layers = num_layers) ?(pdn_stripes = true) ?skeleton
-    (p : Place.Placement.t) =
-  let g = make_bare ~layers p in
-  (match skeleton with
-  | Some s ->
-    let key = skeleton_key ~layers ~pdn_stripes p in
-    if not (String.equal s.sk_key key) then
-      invalid_arg
-        (Printf.sprintf
-           "Grid.of_placement: skeleton built for %s used with %s" s.sk_key
-           key);
-    Array.blit s.sk_edges 0 g.edges 0 (Array.length s.sk_edges)
-  | None -> install_blockage g ~pdn_stripes);
-  let instances = p.Place.Placement.design.Netlist.Design.instances in
+  install_pdn_stripes g;
   Array.iteri
     (fun inst_id (inst : Netlist.Design.instance) ->
       List.iteri

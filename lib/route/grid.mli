@@ -14,7 +14,12 @@
     net — other nets cannot pass through, but the owner net can. The
     conventional 12-track architecture additionally blocks every M1 edge
     that crosses a row boundary (the horizontal M1 power rails), which is
-    exactly why it cannot route inter-row M1. *)
+    exactly why it cannot route inter-row M1; the 7.5-track architectures
+    lose the M2 track along each row boundary instead, and every 8th M5
+    and M6 track carries a power strap. {!of_placement} installs all of
+    this afresh for every grid: nothing about a grid is cached across
+    placements, because installing the rail and strap blockage in place
+    is cheaper than copying a cached copy of it. *)
 
 type t = {
   placement : Place.Placement.t;
@@ -110,55 +115,15 @@ val has_via_edge : t -> int -> bool
 (** [via_dest g n] is the node one layer up at the same (i,j). *)
 val via_dest : t -> int -> int
 
-(** {1 Grid skeleton}
-
-    The power-grid blockage (M1/M2 rails, M5/M6 PDN straps) is a pure
-    function of the die size, the row structure and the architecture —
-    never of cell positions — so it can be computed once and shared
-    across every placement of the same die. The batch service
-    ([lib/serve]) caches skeletons keyed by {!skeleton_key}; a one-shot
-    run never needs them. *)
-
-(** The placement-independent blockage of a grid: the [edges] contents
-    after rail/PDN installation and before any pin shape, so every
-    usage field is zero. Immutable once built — [of_placement] copies
-    it into the fresh grid. *)
-type skeleton = private {
-  sk_key : string;      (** the {!skeleton_key} it was built for *)
-  sk_nl : int;          (** layer count the skeleton covers *)
-  sk_nx : int;
-  sk_ny : int;
-  sk_pitch : int;
-  sk_edges : int array; (** blockage-only [edges], length nl*nx*ny *)
-}
-
-(** [skeleton_key ?layers ?pdn_stripes p] identifies the blockage
-    content a grid for [p] needs: architecture, layer count, track
-    counts, pitch, row structure and the PDN switch. Two placements
-    with equal keys can share one {!skeleton}. *)
-val skeleton_key : ?layers:int -> ?pdn_stripes:bool -> Place.Placement.t -> string
-
-(** [skeleton ?layers ?pdn_stripes p] computes the shared blockage for
-    [p]'s die by running exactly the installation [of_placement] would
-    run, so building a grid from the result is byte-identical to
-    building it from scratch. *)
-val skeleton : ?layers:int -> ?pdn_stripes:bool -> Place.Placement.t -> skeleton
-
-(** [of_placement ?layers ?pdn_stripes ?skeleton p] builds the grid and
-    installs blockage: per-pin M1 blockage with net ownership; M1 power
-    rails for the conventional architecture or M2 power rails along row
-    boundaries for the 7.5-track architectures; and, when [pdn_stripes]
-    (default true), periodic M5/M6 power straps. [layers] (2..6, default
-    6) limits the routable stack. Passing a cached [skeleton] replaces
-    the rail/PDN installation with an array copy; its key must equal
-    [skeleton_key ?layers ?pdn_stripes p] (checked — raises
-    [Invalid_argument] on a mismatched skeleton rather than building a
-    wrong grid). Raises [Invalid_argument] when a net id does not fit
-    the owner field of the edge word. Rebuild after the placement
+(** [of_placement ?layers p] builds the grid and installs blockage:
+    M1 power rails for the conventional architecture or M2 power rails
+    along row boundaries for the 7.5-track architectures; periodic
+    M5/M6 power straps on every 8th track; and per-pin M1 blockage with
+    net ownership. [layers] (2..6, default 6) limits the routable
+    stack. Raises [Invalid_argument] when a net id does not fit the
+    owner field of the edge word. Rebuild after the placement
     changes. *)
-val of_placement :
-  ?layers:int -> ?pdn_stripes:bool -> ?skeleton:skeleton ->
-  Place.Placement.t -> t
+val of_placement : ?layers:int -> Place.Placement.t -> t
 
 (** [pin_access g pr] is the list of grid nodes at which a route may
     terminate for the given pin: on-M1 nodes along the pin segment for

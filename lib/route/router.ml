@@ -4,7 +4,6 @@ type config = {
   use_dm1 : bool;
   layers : int;
   shard_tracks : int;
-  grid_skeleton : Grid.skeleton option;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     use_dm1 = true;
     layers = 6;
     shard_tracks = 64;
-    grid_skeleton = None;
   }
 
 (* The cost model, in DBU-equivalents: a via; each existing user of an
@@ -748,52 +746,79 @@ let decompose (p : Place.Placement.t) (net : Netlist.Design.net) =
          !edges)
   end
 
+(* Add the pin-access nodes [access.(k0..k1)] to the net's tree. *)
+let add_access_to_tree sc access k0 k1 =
+  Obs.Counter.incr c_pin_access_hits;
+  for k = k0 to k1 do
+    Stampset.add sc.tree access.(k)
+  done
+
 (* Route one MST edge against the net's growing tree (held in
    [ctx.tree]). Target stamping, the direct-connection test, and open
    list seeding all run on generation stamps — no list membership
-   scans. *)
+   scans. The pin-access ranges and the tree are read by index, as
+   [run] reads them, so no closure or ref is allocated; each range read
+   counts once in [route.pin_access_hits], as [Grid.pin_access_iter]
+   would. *)
 let route_subnet ?clamp ctx ~net subnet =
-  let g = ctx.g in
+  let g = ctx.g and sc = ctx.sc in
+  let nx = g.Grid.nx and ny = g.Grid.ny in
+  let access = g.Grid.pin_access_nodes and off = g.Grid.pin_access_off in
+  let dpi = g.Grid.pin_base.(subnet.dst.inst) + subnet.dst.pin in
+  let spi = g.Grid.pin_base.(subnet.src.inst) + subnet.src.pin in
+  let d0 = off.(dpi) and d1 = off.(dpi + 1) - 1 in
+  let s0 = off.(spi) and s1 = off.(spi + 1) - 1 in
   (* stamp the target pin's access nodes with a fresh generation and
      collect the target bounding box *)
-  let sc = ctx.sc in
   if sc.generation >= generation_reset then restart_generations sc;
   sc.generation <- sc.generation + 1;
   let tg = sc.generation in
   let ti_min = ref max_int and ti_max = ref min_int in
   let tj_min = ref max_int and tj_max = ref min_int in
-  Grid.pin_access_iter g subnet.dst (fun n ->
-      let i = Grid.i_of_node g n and j = Grid.j_of_node g n in
-      if i < !ti_min then ti_min := i;
-      if i > !ti_max then ti_max := i;
-      if j < !tj_min then tj_min := j;
-      if j > !tj_max then tj_max := j;
-      sc.tgen.(n) <- tg);
+  Obs.Counter.incr c_pin_access_hits;
+  for k = d0 to d1 do
+    let n = access.(k) in
+    let i = n mod nx and j = n / nx mod ny in
+    if i < !ti_min then ti_min := i;
+    if i > !ti_max then ti_max := i;
+    if j < !tj_min then tj_min := j;
+    if j > !tj_max then tj_max := j;
+    sc.tgen.(n) <- tg
+  done;
   (* trivial case: a source IS a target *)
-  let direct = ref false in
-  Stampset.iter sc.tree (fun n -> if is_target ctx ~tg n then direct := true);
-  if not !direct then
-    Grid.pin_access_iter g subnet.src (fun n ->
-        if is_target ctx ~tg n then direct := true);
+  let tree = Stampset.items sc.tree and ntree = Stampset.cardinal sc.tree in
+  let direct = ref false and k = ref 0 in
+  while (not !direct) && !k < ntree do
+    if is_target ctx ~tg tree.(!k) then direct := true;
+    incr k
+  done;
+  if not !direct then begin
+    Obs.Counter.incr c_pin_access_hits;
+    let k = ref s0 in
+    while (not !direct) && !k <= s1 do
+      if is_target ctx ~tg access.(!k) then direct := true;
+      incr k
+    done
+  end;
   if !direct then begin
     subnet.path <- [||];
     subnet.routed <- true;
-    Grid.pin_access_iter g subnet.dst (Stampset.add sc.tree);
+    add_access_to_tree sc access d0 d1;
     true
   end
   else begin
     (* window bounding box over sources and targets *)
     let imin = ref !ti_min and imax = ref !ti_max in
     let jmin = ref !tj_min and jmax = ref !tj_max in
-    let widen n =
-      let i = Grid.i_of_node g n and j = Grid.j_of_node g n in
+    Obs.Counter.incr c_pin_access_hits;
+    for k = 0 to ntree + s1 - s0 do
+      let n = if k < ntree then tree.(k) else access.(s0 + k - ntree) in
+      let i = n mod nx and j = n / nx mod ny in
       if i < !imin then imin := i;
       if i > !imax then imax := i;
       if j < !jmin then jmin := j;
       if j > !jmax then jmax := j
-    in
-    Stampset.iter sc.tree widen;
-    Grid.pin_access_iter g subnet.src widen;
+    done;
     let t =
       search ?clamp ctx ~net ~tg ~src:subnet.src ~imin:!imin ~imax:!imax
         ~jmin:!jmin ~jmax:!jmax ~ti0:!ti_min ~ti1:!ti_max ~tj0:!tj_min
@@ -804,7 +829,7 @@ let route_subnet ?clamp ctx ~net subnet =
       commit g path;
       subnet.path <- path;
       subnet.routed <- true;
-      Grid.pin_access_iter g subnet.dst (Stampset.add sc.tree);
+      add_access_to_tree sc access d0 d1;
       add_path_to_tree ctx path;
       true
     end
@@ -818,9 +843,7 @@ let route_subnet ?clamp ctx ~net subnet =
 let route ?(config = default_config) (p : Place.Placement.t) =
   Obs.with_span "route" (fun () ->
   let mw0 = if Obs.enabled () then Gc.minor_words () else 0. in
-  let g =
-    Grid.of_placement ~layers:config.layers ?skeleton:config.grid_skeleton p
-  in
+  let g = Grid.of_placement ~layers:config.layers p in
   let design = p.Place.Placement.design in
   let signal = Netlist.Design.signal_nets design in
   (* shorter nets first: they have fewer detour options. Each net's HPWL

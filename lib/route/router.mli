@@ -96,11 +96,6 @@ type config = {
   shard_tracks : int;      (** tile side, in tracks, for the tiled
                                initial pass (clamped to >= 8). The tiling
                                is a fixed function of the grid *)
-  grid_skeleton : Grid.skeleton option;
-      (** cached rail/PDN blockage to seed {!Grid.of_placement} with
-          (see {!Grid.skeleton}); [None] recomputes it. Purely a
-          construction shortcut — routing results are byte-identical
-          either way *)
 }
 
 val default_config : config

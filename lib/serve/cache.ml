@@ -15,7 +15,6 @@ type t = {
   netlists : Netlist.Design.t store;
   placements : Report.Flow.master store;
   externals : Report.Flow.master store;
-  skeletons : Route.Grid.skeleton store;
 }
 
 exception Rejected of string
@@ -31,7 +30,6 @@ let create () =
     netlists = new_store ();
     placements = new_store ();
     externals = new_store ();
-    skeletons = new_store ();
   }
 
 let lookup store key make =
@@ -62,10 +60,7 @@ let netlist t ~lib ~name ~arch ~scale =
   lookup t.netlists (netlist_key ~name ~arch ~scale) (fun () ->
       Netlist.Designs.make ~lib ~scale name arch)
 
-(* The route is built without the grid skeleton: the skeleton only
-   replaces a blockage install with a copy of the same bytes, and
-   resolving it here would add a second grid lookup to a cold job. The
-   route itself is dropped: a master outlives every job on its
+(* The baseline's route is dropped: a master outlives every job on its
    placement, and a grid per cached placement would dominate the
    daemon's memory. *)
 let master_of placement = fst (Report.Flow.master placement)
@@ -98,14 +93,9 @@ let external_placement t ~lib ~arch ~def_text =
   | pair -> Stdlib.Ok pair
   | exception Rejected msg -> Error msg
 
-let grid_skeleton t p =
-  lookup t.skeletons (Route.Grid.skeleton_key p) (fun () ->
-      Route.Grid.skeleton p)
-
 let stats t =
   [
     ("external", t.externals.hits, t.externals.misses);
-    ("grid", t.skeletons.hits, t.skeletons.misses);
     ("library", t.libraries.hits, t.libraries.misses);
     ("netlist", t.netlists.hits, t.netlists.misses);
     ("placement", t.placements.hits, t.placements.misses);

@@ -5,20 +5,21 @@
     depend on anything a job may mutate: generating the standard-cell
     library of an architecture, generating a netlist, computing the
     converged input placement the optimiser starts from together with
-    its routed baseline evaluation (Table 2's [init] columns), and
-    installing the power-grid blockage of the routing grid. A cache
+    its routed baseline evaluation (Table 2's [init] columns). A cache
     holds each of these keyed by the parameters that determine its
     content, so a daemon serving many jobs pays them once. The baseline
     is a property of the input placement alone — a job's [alpha],
     [sequence] and solver act only on the optimised placement — so it
     lives in the same entry as its placement: a {!Report.Flow.master},
     the type the experiment matrix shares its placements through too.
-    The baseline's route is not kept.
+    The baseline's route is not kept, and neither is any routing grid:
+    a job builds its grid from scratch, which is faster than copying a
+    cached blockage array and keeps no grid-sized memory per die.
 
     The soundness argument has two halves, and both are load-bearing:
 
     - {b Cached artifacts are immutable.} Jobs never write into a
-      design, a library or a skeleton, and the cached placement is a
+      design or a library, and the cached placement is a
       master copy that jobs duplicate ([Place.Placement.copy]) before
       touching. The per-job mutable state starts at the copy.
     - {b Generation is deterministic.} Every generator behind a cache
@@ -88,12 +89,6 @@ val external_placement :
   t -> lib:Pdk.Libgen.t -> arch:Pdk.Cell_arch.t -> def_text:string ->
   (Report.Flow.master * outcome, string) Stdlib.result
 
-(** [grid_skeleton t p] is the routing-grid blockage skeleton for [p]'s
-    die, keyed by {!Route.Grid.skeleton_key} (die tracks, architecture,
-    row structure, PDN) — placements of different designs that share a
-    die size share the skeleton. *)
-val grid_skeleton : t -> Place.Placement.t -> Route.Grid.skeleton * outcome
-
 (** [stats t] is [(store, hits, misses)] per artifact store, in a fixed
-    order: [external], [grid], [library], [netlist], [placement]. *)
+    order: [external], [library], [netlist], [placement]. *)
 val stats : t -> (string * int * int) list

@@ -1,6 +1,5 @@
 type artifacts = {
   master : Report.Flow.master;  (** shared, read-only: copy before use *)
-  skeleton : Route.Grid.skeleton;
   resolved : (string * bool) list;  (** per-store outcome, for the reply *)
 }
 
@@ -30,19 +29,14 @@ let prepare cache (job : Protocol.job) =
           Cache.placement cache ~design:netlist ~name:design ~arch:job.arch
             ~scale ~utilization:util
         in
-        let skeleton, g_o =
-          Cache.grid_skeleton cache master.Report.Flow.placement
-        in
         Ok
           {
             master;
-            skeleton;
             resolved =
               [
                 ("library", hit l_o);
                 ("netlist", hit n_o);
                 ("placement", hit p_o);
-                ("grid", hit g_o);
               ];
           }
       | Protocol.External src -> (
@@ -64,19 +58,10 @@ let prepare cache (job : Protocol.job) =
           with
           | Error msg -> bad_request ("DEF rejected: " ^ msg)
           | Ok (master, e_o) ->
-            let skeleton, g_o =
-              Cache.grid_skeleton cache master.Report.Flow.placement
-            in
             Ok
               {
                 master;
-                skeleton;
-                resolved =
-                  [
-                    ("library", hit l_o);
-                    ("external", hit e_o);
-                    ("grid", hit g_o);
-                  ];
+                resolved = [ ("library", hit l_o); ("external", hit e_o) ];
               }))
     with
     | a -> a
@@ -130,9 +115,6 @@ let run_flow (job : Protocol.job) (a : artifacts) =
     | Some alpha -> { base with Vm1.Params.alpha }
     | None -> base
   in
-  let router_config =
-    { Route.Router.default_config with grid_skeleton = Some a.skeleton }
-  in
   let config =
     { Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.sequence = Vm1.Params.sequence job.sequence;
@@ -143,7 +125,7 @@ let run_flow (job : Protocol.job) (a : artifacts) =
   (* the baseline came with the master (see Cache): only the optimised
      placement is routed here *)
   let c =
-    Report.Flow.optimise ~router_config ~config params
+    Report.Flow.optimise ~config params
       a.master.Report.Flow.baseline q
   in
   let r_scale, r_util =

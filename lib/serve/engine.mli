@@ -4,9 +4,9 @@
     The two-phase shape is the point of the module. {!prepare} runs on
     the submitting domain and is the only code that touches the
     {!Cache} — everything it hands over (library, netlist, master
-    placement with its baseline evaluation, grid skeleton) is immutable
-    from then on. A cache miss computes its artifact there, so a cold
-    job's baseline route runs on the submitting domain. {!execute} is
+    placement with its baseline evaluation) is immutable from then on.
+    A cache miss computes its artifact there, so a cold job's baseline
+    route runs on the submitting domain. {!execute} is
     safe to run on a pool worker: it copies the master placement and
     mutates only that copy, so any number of jobs can be in flight at
     once and a job's result is independent of what runs next to it.
